@@ -13,41 +13,20 @@ import (
 	"effnetscale/internal/nn"
 )
 
-// Weights-only format versions. They share one number space with
-// SnapshotFormat (2) so each reader can recognize the other kind of file and
-// point at the right API instead of failing on a field mismatch.
-const (
-	// weightsFormatMap is the original weights-only layout: parameters in a
-	// gob map, whose encoding order gob randomizes — two saves of identical
-	// weights produce different bytes. Still readable, no longer written.
-	weightsFormatMap = 1
-	// weightsFormat is the current weights-only layout: parameters as a
-	// name-sorted slice, so identical weights always encode to identical
-	// bytes and two checkpoints can be compared with cmp/sha256sum.
-	weightsFormat = 3
-)
+// weightsFormat is the weights-only layout: parameters as a name-sorted
+// slice, so identical weights always encode to identical bytes and two
+// checkpoints can be compared with cmp/sha256sum. It shares one number space
+// with SnapshotFormat (2) so each reader can recognize the other kind of
+// file and point at the right API instead of failing on a field mismatch.
+const weightsFormat = 3
 
-// weightsFile is the on-disk representation of the current weights-only
-// format: the header of the original checkpoint.Save with the parameter map
-// replaced by a name-sorted slice for deterministic encoding.
+// weightsFile is the on-disk representation of the weights-only format.
 type weightsFile struct {
 	Format     int
 	ModelName  string
 	NumClasses int
 	Resolution int
 	Params     []namedBlob
-	BNMeans    []tensorBlob
-	BNVars     []tensorBlob
-}
-
-// legacyWeightsFile is the format-1 layout (the gob shape of the original
-// checkpoint.Save), kept so old checkpoints load unchanged.
-type legacyWeightsFile struct {
-	Format     int
-	ModelName  string
-	NumClasses int
-	Resolution int
-	Params     map[string]tensorBlob
 	BNMeans    []tensorBlob
 	BNVars     []tensorBlob
 }
@@ -95,52 +74,38 @@ func SaveWeights(w io.Writer, m *efficientnet.Model) error {
 	return gob.NewEncoder(w).Encode(s)
 }
 
-// decodeWeights reads either weights-only layout from r and returns the
-// normalized contents (parameters keyed by name). Format validation belongs
+// decodeWeights reads a weights-only file from r. Format validation belongs
 // to the caller: a snapshot file decodes "successfully" here (its Format
 // field is readable, its components are not weights fields) precisely so the
 // caller can point at the snapshot API.
-func decodeWeights(r io.Reader) (*legacyWeightsFile, error) {
+func decodeWeights(r io.Reader) (*weightsFile, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read: %w", err)
 	}
 	var s weightsFile
-	serr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s)
-	if serr == nil {
-		out := &legacyWeightsFile{
-			Format:     s.Format,
-			ModelName:  s.ModelName,
-			NumClasses: s.NumClasses,
-			Resolution: s.Resolution,
-			Params:     make(map[string]tensorBlob, len(s.Params)),
-			BNMeans:    s.BNMeans,
-			BNVars:     s.BNVars,
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
+		// A file whose fields have other types (format 1 kept parameters in
+		// a map) fails before any value decodes; read only its format
+		// number so the error can name it.
+		var h struct{ Format int }
+		if gob.NewDecoder(bytes.NewReader(raw)).Decode(&h) == nil && h.Format != weightsFormat {
+			return nil, fmt.Errorf("checkpoint: unsupported weights format %d (want %d)", h.Format, weightsFormat)
 		}
-		for _, p := range s.Params {
-			out.Params[p.Name] = tensorBlob{Shape: p.Shape, Data: p.Data}
-		}
-		return out, nil
+		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
-	// The sorted decode fails on a format-1 file at the Params field (wire
-	// map vs local slice) — re-decode with the legacy struct.
-	var l legacyWeightsFile
-	if lerr := gob.NewDecoder(bytes.NewReader(raw)).Decode(&l); lerr != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", serr)
-	}
-	return &l, nil
+	return &s, nil
 }
 
 // LoadWeights restores parameters and BN statistics into m, which must have
-// the same architecture the checkpoint was saved from (previously
-// checkpoint.Load). Files written by the old map-ordered Save (format 1)
-// load unchanged.
+// the same architecture the checkpoint was saved from. Parameters are matched
+// by name.
 func LoadWeights(r io.Reader, m *efficientnet.Model) error {
 	s, err := decodeWeights(r)
 	if err != nil {
 		return err
 	}
-	if s.Format != weightsFormat && s.Format != weightsFormatMap {
+	if s.Format != weightsFormat {
 		if s.Format == SnapshotFormat {
 			return fmt.Errorf("checkpoint: file is a full training snapshot (format %d); restore it with ReadSnapshot / train.WithResume, or extract weights via the model codec", SnapshotFormat)
 		}
@@ -153,8 +118,12 @@ func LoadWeights(r io.Reader, m *efficientnet.Model) error {
 	if len(s.Params) != len(params) {
 		return fmt.Errorf("checkpoint: has %d params, model has %d", len(s.Params), len(params))
 	}
+	blobs := make(map[string]namedBlob, len(s.Params))
+	for _, b := range s.Params {
+		blobs[b.Name] = b
+	}
 	for _, p := range params {
-		blob, ok := s.Params[p.Name]
+		blob, ok := blobs[p.Name]
 		if !ok {
 			return fmt.Errorf("checkpoint: missing parameter %q", p.Name)
 		}
@@ -209,7 +178,7 @@ func WeightsInfo(path string) (model string, numClasses, resolution int, err err
 	if err != nil {
 		return "", 0, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
-	if s.Format != weightsFormat && s.Format != weightsFormatMap {
+	if s.Format != weightsFormat {
 		return "", 0, 0, fmt.Errorf("checkpoint: %s has format %d, not a weights-only checkpoint (want %d)", path, s.Format, weightsFormat)
 	}
 	return s.ModelName, s.NumClasses, s.Resolution, nil

@@ -72,39 +72,37 @@ func TestSaveWeightsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLoadWeightsReadsLegacyMapFormat(t *testing.T) {
-	// Checkpoints written before the sorted format (format 1, parameters in
-	// a gob map) must keep loading.
+func TestLoadWeightsRejectsFormat1(t *testing.T) {
+	// Format 1 kept parameters in a gob map. It is no longer readable: the
+	// load must fail naming the format and leave the target untouched.
 	src := newPico(1)
-	legacy := legacyWeightsFile{
-		Format:     weightsFormatMap,
-		ModelName:  src.Config.Name,
-		NumClasses: src.Config.NumClasses,
-		Resolution: src.Config.Resolution,
-		Params:     make(map[string]tensorBlob),
-	}
+	format1 := struct {
+		Format     int
+		ModelName  string
+		NumClasses int
+		Resolution int
+		Params     map[string]tensorBlob
+	}{1, src.Config.Name, src.Config.NumClasses, src.Config.Resolution, map[string]tensorBlob{}}
 	for _, p := range src.Params() {
-		legacy.Params[p.Name] = tensorBlob{Shape: p.Data().Shape(), Data: p.Data().Data()}
-	}
-	for _, bn := range src.BatchNorms() {
-		legacy.BNMeans = append(legacy.BNMeans, tensorBlob{Shape: bn.RunningMean.Shape(), Data: bn.RunningMean.Data()})
-		legacy.BNVars = append(legacy.BNVars, tensorBlob{Shape: bn.RunningVar.Shape(), Data: bn.RunningVar.Data()})
+		format1.Params[p.Name] = tensorBlob{Shape: p.Data().Shape(), Data: p.Data().Data()}
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(format1); err != nil {
 		t.Fatal(err)
 	}
 	dst := newPico(99)
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()), dst); err != nil {
-		t.Fatalf("legacy format load: %v", err)
+	var before, after bytes.Buffer
+	if err := SaveWeights(&before, dst); err != nil {
+		t.Fatal(err)
 	}
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		for j := range sp[i].Data().Data() {
-			if sp[i].Data().Data()[j] != dp[i].Data().Data()[j] {
-				t.Fatalf("param %s differs after legacy load", sp[i].Name)
-			}
-		}
+	if err := LoadWeights(&buf, dst); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("format-1 load = %v, want an error naming format 1", err)
+	}
+	if err := SaveWeights(&after, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("rejected format-1 load changed the target model")
 	}
 }
 
@@ -267,7 +265,7 @@ func TestSnapshotFileRoundTripAndErrors(t *testing.T) {
 }
 
 func TestFormatCrossoverErrors(t *testing.T) {
-	// A legacy weights file is not a snapshot, and vice versa; both
+	// A weights file is not a snapshot, and vice versa; both
 	// directions must fail with errors that point at the right API.
 	var weights bytes.Buffer
 	if err := SaveWeights(&weights, newPico(1)); err != nil {

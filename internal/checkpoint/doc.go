@@ -3,9 +3,9 @@
 // needs to continue bit-for-bit (model weights and BN statistics, optimizer
 // slots, EMA shadow weights, loop position, per-replica RNG and
 // data-pipeline cursors), an async Writer that persists snapshots atomically
-// (fsync + rename) off the training critical path, and the legacy
-// weights-only format (SaveWeights/LoadWeights) kept for serving trained
-// models.
+// (fsync + rename) off the training critical path, and the weights-only
+// format (SaveWeights/LoadWeights, matched by parameter name) for serving
+// trained models.
 //
 // Seams: StateCodec (StateKey/CaptureState/RestoreState with presence,
 // shape and identity validation) is how stateful subsystems participate —

@@ -13,8 +13,8 @@ import (
 )
 
 // SnapshotFormat is the on-disk format version of full training-state
-// snapshots. Version 1 is the legacy weights-only format (SaveWeights /
-// LoadWeights); bump this on incompatible layout changes.
+// snapshots. The weights-only format (SaveWeights / LoadWeights) is version
+// 3; bump this on incompatible layout changes.
 const SnapshotFormat = 2
 
 // Blob is one named piece of component state: a shaped float32 tensor, a
@@ -241,7 +241,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // ReadSnapshot decodes and validates a snapshot from r. Weights-only
-// checkpoints (formats 1 and 3) are detected and rejected with a pointer to
+// checkpoints (format 3) are detected and rejected with a pointer to
 // LoadWeights; truncated or corrupt input fails the decode with a
 // descriptive error rather than returning partial state.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
@@ -249,7 +249,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode snapshot (truncated or corrupt?): %w", err)
 	}
-	if s.Format == weightsFormatMap || s.Format == weightsFormat {
+	if s.Format == weightsFormat {
 		return nil, fmt.Errorf("checkpoint: file is a weights-only checkpoint (format %d); load it with LoadWeights", s.Format)
 	}
 	if s.Format != SnapshotFormat {
@@ -366,7 +366,7 @@ func ReadLatestSnapshot(dir string) (*Snapshot, string, error) {
 
 // writeFileAtomic writes via a same-directory temp file with fsync on the
 // file before rename and on the directory after, shared by snapshot and
-// legacy weights writers.
+// weights writers.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -166,9 +166,6 @@ func Reshard(snap *checkpoint.Snapshot, newShape mesh.Shape, opts ...Option) (*c
 
 	// Engine component: keep the trajectory identity and step position,
 	// rewrite the geometry to the target, and mark the snapshot as resharded.
-	// The legacy "config" string becomes a sentinel that can never equal a
-	// real fingerprint, so pre-elastic binaries reject the snapshot instead
-	// of restoring per-rank state into the wrong partitions.
 	ne := checkpoint.Component{}
 	ne.PutI64("step", step)
 	ne.PutStr("trajectory", traj)
@@ -180,7 +177,6 @@ func Reshard(snap *checkpoint.Snapshot, newShape mesh.Shape, opts ...Option) (*c
 	provenance := fmt.Sprintf("resharded world %d->%d batch %d->%d accum %d->%d",
 		old.World, plan.World, old.PerReplicaBatch, plan.PerReplicaBatch, old.GradAccum, plan.GradAccum)
 	ne.PutStr("elastic", provenance)
-	ne.PutStr("config", fmt.Sprintf("elastic-%s: %s", provenance, traj))
 	if err := out.Add(engineComponent, ne); err != nil {
 		return nil, err
 	}

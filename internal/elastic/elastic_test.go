@@ -239,8 +239,7 @@ func TestReshardRejectsLegacySnapshot(t *testing.T) {
 }
 
 // TestReshardedSnapshotBindsToTarget: a resharded snapshot restores only into
-// the exact geometry it was rewritten for, and old binaries comparing the
-// legacy config string can never accept it.
+// the exact geometry it was rewritten for.
 func TestReshardedSnapshotBindsToTarget(t *testing.T) {
 	e := elasticEngine(t, 4, 2, 2)
 	defer e.Close()
@@ -257,13 +256,6 @@ func TestReshardedSnapshotBindsToTarget(t *testing.T) {
 	defer wrong.Close()
 	if err := wrong.RestoreState(resharded); err == nil || !strings.Contains(err.Error(), "resharded for") {
 		t.Fatalf("wrong-world restore of resharded snapshot = %v, want resharded-for error", err)
-	}
-	cfgStr, err := resharded.Components["engine"].Str("config")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(cfgStr, "elastic-") {
-		t.Fatalf("resharded legacy config %q is not a reject-on-old-binaries sentinel", cfgStr)
 	}
 }
 

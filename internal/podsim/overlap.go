@@ -31,37 +31,10 @@ func (o OverlapResult) SpeedupPct() float64 {
 	return 100 * (base - o.OverlappedStepSeconds) / base
 }
 
-// ModelStepOverlapped models a step where gradient all-reduce chunks start
-// as soon as their layer's backward completes. The last layer's gradients
-// (the input-side stem, computed at the very end of backward) cannot be
-// hidden; empirically ~10% of the payload must remain serialized, plus the
-// α latency of the final chunk.
-func ModelStepOverlapped(model string, cores, globalBatch, bnGroup int) (OverlapResult, error) {
-	sb, err := ModelStep(model, cores, globalBatch, bnGroup)
-	if err != nil {
-		return OverlapResult{}, err
-	}
-	// Backward is ~2/3 of training compute; communication can hide under
-	// it as long as bandwidth-time fits.
-	backward := sb.ComputeSeconds * 2 / 3
-	const tailFraction = 0.10 // stem gradients, not hideable
-	hideable := sb.AllReduceSeconds * (1 - tailFraction)
-	if hideable > backward {
-		hideable = backward
-	}
-	res := OverlapResult{
-		StepBreakdown:   sb,
-		OverlapFraction: hideable / sb.AllReduceSeconds,
-	}
-	res.OverlappedStepSeconds = sb.StepSeconds() - hideable
-	return res, nil
-}
-
 // ModelStepGradReady prices the engine's grad-ready dispatch (ROADMAP item
 // 1): the gradient payload splits into ⌈GradBytes/bucketBytes⌉ buckets, each
-// all-reduced the moment the backward pass produces its last member. Unlike
-// ModelStepOverlapped's fixed 10% tail, the exposed tail here is structural:
-// exactly one bucket — the input-side stem, whose gradients land when
+// all-reduced the moment the backward pass produces its last member. The
+// exposed tail is structural: exactly one bucket — the input-side stem, whose gradients land when
 // backward ends — plus whatever the backward window cannot absorb. Smaller
 // buckets shrink that tail but pay per-collective α latency on every bucket,
 // so total all-reduce busy time rises as buckets shrink; the returned

@@ -3,17 +3,12 @@ package podsim
 import "testing"
 
 func TestOverlapHidesMostOfAllReduce(t *testing.T) {
-	o, err := ModelStepOverlapped("b2", 1024, 32768, 0)
+	o, err := ModelStepGradReady("b2", 1024, 32768, 0, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// B2's all-reduce is ~2.5% of the step while backward is ~60%: nearly
-	// all of it (90%, the non-tail share) must be hideable.
-	if o.OverlapFraction < 0.85 || o.OverlapFraction > 0.90001 {
-		t.Fatalf("overlap fraction = %v, want ≈0.9", o.OverlapFraction)
-	}
-	if o.OverlappedStepSeconds >= o.StepBreakdown.StepSeconds() {
-		t.Fatal("overlap must shrink the step")
+	if o.OverlapFraction <= 0.5 {
+		t.Fatalf("overlap fraction = %v, want most of the all-reduce hidden", o.OverlapFraction)
 	}
 	// Speedup is bounded by the all-reduce share itself.
 	if s := o.SpeedupPct(); s <= 0 || s > o.AllReducePct() {
@@ -21,24 +16,21 @@ func TestOverlapHidesMostOfAllReduce(t *testing.T) {
 	}
 }
 
-func TestOverlapValidation(t *testing.T) {
-	if _, err := ModelStepOverlapped("bogus", 1024, 32768, 0); err == nil {
-		t.Fatal("unknown model must error")
-	}
-}
-
 func TestOverlapDirectionAcrossModels(t *testing.T) {
-	// B2 (more comm-bound) gains more from overlap than B5.
-	b2, err := ModelStepOverlapped("b2", 1024, 32768, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b5, err := ModelStepOverlapped("b5", 1024, 32768, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.SpeedupPct() <= b5.SpeedupPct() {
-		t.Fatalf("B2 overlap speedup (%v%%) must exceed B5's (%v%%)", b2.SpeedupPct(), b5.SpeedupPct())
+	// B2 (more comm-bound) gains more from overlap than B5 at the bucket
+	// sizes where bandwidth, not per-bucket latency, dominates.
+	for _, bucket := range []int{1 << 20, 4 << 20} {
+		b2, err := ModelStepGradReady("b2", 1024, 32768, 0, bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b5, err := ModelStepGradReady("b5", 1024, 32768, 0, bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b2.SpeedupPct() <= b5.SpeedupPct() {
+			t.Fatalf("%d-byte buckets: B2 overlap speedup (%v%%) must exceed B5's (%v%%)", bucket, b2.SpeedupPct(), b5.SpeedupPct())
+		}
 	}
 }
 
@@ -64,24 +56,18 @@ func TestGradReadyTailIsOneBucket(t *testing.T) {
 	if small.AllReduceSeconds <= big.AllReduceSeconds {
 		t.Fatalf("1 MiB busy %v must exceed 8 MiB busy %v", small.AllReduceSeconds, big.AllReduceSeconds)
 	}
-	// Grad-ready dispatch with per-layer buckets beats the fixed-10%-tail
-	// flatten model of ModelStepOverlapped.
-	flat, err := ModelStepOverlapped("b2", 1024, 32768, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.OverlapFraction <= flat.OverlapFraction {
-		t.Fatalf("grad-ready overlap %v must exceed the flatten model's %v", small.OverlapFraction, flat.OverlapFraction)
-	}
 	if small.OverlappedStepSeconds >= small.StepBreakdown.StepSeconds() {
 		t.Fatal("overlap must shrink the step")
 	}
 }
 
-func TestGradReadyValidation(t *testing.T) {
+func TestOverlapValidation(t *testing.T) {
 	if _, err := ModelStepGradReady("bogus", 1024, 32768, 0, 1<<20); err == nil {
 		t.Fatal("unknown model must error")
 	}
+}
+
+func TestGradReadyValidation(t *testing.T) {
 	if _, err := ModelStepGradReady("b2", 1024, 32768, 0, 0); err == nil {
 		t.Fatal("zero bucket size must error")
 	}

@@ -24,8 +24,9 @@
 //
 // Seams: Config assembles a run (collective provider, bucket size, prefetch
 // depth, BN grouping, precision, optimizer); Engine.Step/Evaluate/
-// EvaluateSerial are what the trainloop engine drives; CaptureState/
-// RestoreState compose full checkpoint snapshots; Config.Telemetry attaches
+// EvaluateSerial are what train.Session.Run drives; CaptureState/
+// RestoreState compose full checkpoint snapshots, validated against the
+// trajectory and topology fingerprints; Config.Telemetry attaches
 // the telemetry recorder, which times every step's phases (data wait,
 // forward, backward, the gradient-reduce overlap window and its exposed
 // tail, optimizer apply) and instruments every collective — nil keeps the

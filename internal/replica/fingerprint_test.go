@@ -125,38 +125,3 @@ func TestFingerprintClassesObservable(t *testing.T) {
 		}
 	}
 }
-
-// TestFingerprintUnionCoversLegacy: the legacy single-string fingerprint and
-// the split pair must stay field-equivalent — two engines agree on the legacy
-// string exactly when they agree on both halves of the split. Spot-checked
-// per class rather than parsed, since the formats differ.
-func TestFingerprintUnionCoversLegacy(t *testing.T) {
-	base, err := New(miniEngineConfig(4, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"seed", func(c *Config) { c.Seed = 99 }},
-		{"bn-group", func(c *Config) { c.BNGroupSize = 4 }},
-		{"ema", func(c *Config) { c.EMADecay = 0.5 }},
-		{"buckets", func(c *Config) { c.GradBucketBytes = 4096 }},
-	} {
-		cfg := miniEngineConfig(4, 2, 2)
-		tc.mutate(&cfg)
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		legacyMoved := e.ConfigFingerprint() != base.ConfigFingerprint()
-		splitMoved := e.TrajectoryFingerprint() != base.TrajectoryFingerprint() ||
-			e.TopologyFingerprint() != base.TopologyFingerprint()
-		e.Close()
-		if legacyMoved != splitMoved {
-			t.Errorf("%s: legacy fingerprint moved=%t but split pair moved=%t — the two generations diverged", tc.name, legacyMoved, splitMoved)
-		}
-	}
-}

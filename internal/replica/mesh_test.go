@@ -162,10 +162,9 @@ func TestRestoreRejectsMeshShapeChange(t *testing.T) {
 	}
 }
 
-// TestMeshFingerprintSuffix pins the compatibility contract: pure
-// data-parallel fingerprints are byte-identical with and without an explicit
-// mesh (old snapshots keep restoring), and only hybrid shapes add the
-// mesh term.
+// TestMeshFingerprintSuffix pins how the mesh enters the fingerprints: a
+// plain world-2 engine and an explicit 2x1 mesh are the same configuration,
+// while a 1x2 hybrid mesh over the same ranks is a different topology.
 func TestMeshFingerprintSuffix(t *testing.T) {
 	plain, err := New(miniEngineConfig(2, 2, 1))
 	if err != nil {
@@ -177,18 +176,21 @@ func TestMeshFingerprintSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer meshed.Close()
-	if a, b := plain.ConfigFingerprint(), meshed.ConfigFingerprint(); a != b {
-		t.Fatalf("2x1 mesh fingerprint differs from plain world-2:\n  %s\n  %s", a, b)
+	if a, b := plain.TrajectoryFingerprint(), meshed.TrajectoryFingerprint(); a != b {
+		t.Fatalf("2x1 mesh trajectory fingerprint differs from plain world-2:\n  %s\n  %s", a, b)
 	}
-	if strings.Contains(plain.ConfigFingerprint(), "mesh=") {
-		t.Fatal("pure data-parallel fingerprint must not carry a mesh term")
+	if a, b := plain.TopologyFingerprint(), meshed.TopologyFingerprint(); a != b {
+		t.Fatalf("2x1 mesh topology fingerprint differs from plain world-2:\n  %s\n  %s", a, b)
 	}
 	hybrid, err := New(meshEngineConfig(1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hybrid.Close()
-	if !strings.Contains(hybrid.ConfigFingerprint(), "mesh=1x2") {
-		t.Fatalf("hybrid fingerprint lacks mesh term: %s", hybrid.ConfigFingerprint())
+	if hybrid.TopologyFingerprint() == plain.TopologyFingerprint() {
+		t.Fatalf("1x2 mesh topology fingerprint equals plain world-2: %s", plain.TopologyFingerprint())
+	}
+	if !strings.Contains(hybrid.TopologyFingerprint(), "mesh=1x2") {
+		t.Fatalf("hybrid topology fingerprint lacks mesh term: %s", hybrid.TopologyFingerprint())
 	}
 }

@@ -264,6 +264,37 @@ func TestRestoreRejectsMissingComponent(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsSnapshotWithoutTrajectory: a snapshot whose engine
+// component carries no trajectory fingerprint cannot be validated, so the
+// restore is refused before any state moves and the engine stays usable.
+func TestRestoreRejectsSnapshotWithoutTrajectory(t *testing.T) {
+	e, err := New(resumeEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustStep(t, e)
+	snap, err := e.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(snap.Components["engine"], "trajectory")
+	if err := e.RestoreState(snap); err == nil || !strings.Contains(err.Error(), "trajectory") {
+		t.Fatalf("restore without a trajectory fingerprint = %v, want error naming it", err)
+	}
+	if e.StepCount() != 1 {
+		t.Fatalf("rejected restore moved the step count to %d", e.StepCount())
+	}
+	mustStep(t, e)
+	good, err := e.CaptureState()
+	if err != nil {
+		t.Fatalf("engine poisoned by a rejected restore: %v", err)
+	}
+	if err := e.RestoreState(good); err != nil {
+		t.Fatalf("valid restore after a rejected one: %v", err)
+	}
+}
+
 func TestStateComponentsEnumerate(t *testing.T) {
 	e, err := New(resumeEngineConfig())
 	if err != nil {

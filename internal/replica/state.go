@@ -53,40 +53,6 @@ func (e *Engine) StateComponents() []string {
 	return keys
 }
 
-// ConfigFingerprint renders every configuration field that shapes the
-// training trajectory bit-for-bit: the data order (seed, dataset, world,
-// batch geometry), the arithmetic (model, optimizer, precision, smoothing,
-// BN setup, regularization), and the reduction order (collective algorithm,
-// gradient bucket size). A snapshot restores only into an engine with an
-// identical fingerprint; trajectory-neutral knobs (prefetch depth, eval
-// strategy and cadence) are deliberately excluded. The LR schedule is a
-// function and cannot be fingerprinted — resuming with a different schedule
-// is the caller's responsibility (the train package rebuilds it from the
-// same options).
-//
-// This is the legacy single-string form, still written so snapshots restore
-// on older binaries; new code validates TrajectoryFingerprint and
-// TopologyFingerprint, whose union covers the same fields.
-func (e *Engine) ConfigFingerprint() string {
-	c := e.cfg
-	d := c.Dataset.Config()
-	fp := fmt.Sprintf(
-		"model=%s world=%d batch=%d accum=%d opt=%s wd=%g bngroup=%d slice=%dx%d conv_bf16=%t smooth=%g seed=%d dropout=%g dropconnect=%g augment=%t bnmomentum=%g ema=%g collective=%s bucket=%d data[classes=%d train=%d val=%d res=%d noise=%g seed=%d]",
-		c.Model, c.World, c.PerReplicaBatch, c.GradAccumSteps, c.OptimizerName, c.WeightDecay,
-		c.BNGroupSize, c.Slice.Rows, c.Slice.Cols, c.Precision.ConvBF16, c.LabelSmoothing, c.Seed,
-		c.DropoutOverride, c.DropConnectOverride, !c.NoAugment, c.BNMomentum, c.EMADecay,
-		e.replicas[0].coll.Algorithm(), c.GradBucketBytes,
-		d.NumClasses, d.TrainSize, d.ValSize, d.Resolution, d.NoiseStd, d.Seed,
-	)
-	// A hybrid mesh changes the data shard layout and reduction order. Pure
-	// data parallelism (Model = 1) omits the suffix so snapshots taken before
-	// the mesh existed keep restoring.
-	if c.Mesh.Model > 1 {
-		fp += " mesh=" + c.Mesh.String()
-	}
-	return fp
-}
-
 // TrajectoryFingerprint renders the configuration fields that pin the
 // training trajectory independent of how it is partitioned across ranks:
 // what model trains on what data with what arithmetic, at what global batch.
@@ -141,7 +107,6 @@ func (e *Engine) CaptureState() (*checkpoint.Snapshot, error) {
 
 	eng := checkpoint.Component{}
 	eng.PutI64("step", int64(e.stepCount))
-	eng.PutStr("config", e.ConfigFingerprint())
 	eng.PutStr("mesh", e.cfg.Mesh.String())
 	// The split fingerprint plus the raw geometry scalars: what elastic
 	// resharding validates (trajectory), rewrites (topology, world, batch,
@@ -198,25 +163,16 @@ func (e *Engine) errPoisoned() error {
 }
 
 // validateFingerprint checks the snapshot's configuration against the
-// engine's before any state is touched. Three snapshot generations exist:
-// legacy (single "config" string — full bit-for-bit equality), split
+// engine's before any state is touched. Two snapshot kinds exist: captured
 // ("trajectory" + "topology" — both must match, with a friendlier error when
 // only the world size differs), and elastic-resharded ("elastic" marker —
 // trajectory plus the rewritten geometry must match; the remaining topology
 // fields are free to differ, since resharding already forfeits bit-for-bit
 // continuity).
 func (e *Engine) validateFingerprint(eng checkpoint.Component) error {
-	savedTraj, trajErr := eng.Str("trajectory")
-	if trajErr != nil {
-		// Pre-split snapshot: the single-string comparison it was taken under.
-		savedCfg, err := eng.Str("config")
-		if err != nil {
-			return err
-		}
-		if cur := e.ConfigFingerprint(); savedCfg != cur {
-			return fmt.Errorf("replica: snapshot configuration does not match engine:\n  snapshot: %s\n  engine:   %s", savedCfg, cur)
-		}
-		return nil
+	savedTraj, err := eng.Str("trajectory")
+	if err != nil {
+		return fmt.Errorf("replica: snapshot fingerprint: %w", err)
 	}
 
 	if _, elastic := eng["elastic"]; elastic {
@@ -307,9 +263,7 @@ func (e *Engine) RestoreState(snap *checkpoint.Snapshot) error {
 	// layout is involved on either side: re-gridding the same ranks (say a
 	// 2x2 run resumed as 4x1) deserves a message naming the two shapes, not a
 	// wall of fingerprint text. Pure data-parallel world changes (4x1 vs 2x1)
-	// keep the configuration error, and snapshots written before the mesh
-	// existed carry no "mesh" key — those restore only into pure
-	// data-parallel engines, which the fingerprint already enforces.
+	// keep the configuration error.
 	if savedMesh, merr := eng.Str("mesh"); merr == nil {
 		if cur := e.cfg.Mesh.String(); savedMesh != cur {
 			saved, perr := mesh.ParseShape(savedMesh)

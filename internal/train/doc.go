@@ -1,11 +1,12 @@
 // Package train is the one way to assemble and run a training job: a
-// composable public API over the replica engine and the trainloop step
-// engine. A Session is built from functional options (validated eagerly, no
-// panics), observed through Callback hooks, and evaluated through a
-// pluggable EvalStrategy — the composition of mechanisms behind the paper's
-// headline result (LARS, linear LR scaling + warmup, distributed batch
-// norm, bf16, and the distributed train+eval loop of §3.3) becomes
-// one-option-away instead of one-copied-main-away:
+// composable public API over the replica engine, whose Session.Run is the
+// training loop itself (step, evaluate, snapshot, stop). A Session is built
+// from functional options (validated eagerly, no panics), observed through
+// Callback hooks, and evaluated through a pluggable EvalStrategy — the
+// composition of mechanisms behind the paper's headline result (LARS,
+// linear LR scaling + warmup, distributed batch norm, bf16, and the
+// distributed train+eval loop of §3.3) becomes one-option-away instead of
+// one-copied-main-away:
 //
 //	sess, err := train.New(
 //	    train.MiniRecipe(),                 // the paper recipe at laptop scale

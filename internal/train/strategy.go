@@ -1,15 +1,21 @@
 package train
 
-import (
-	"effnetscale/internal/replica"
-	"effnetscale/internal/trainloop"
-)
+import "effnetscale/internal/replica"
 
 // EvalStrategy scores the model during training. The two §3.3 loop
 // structures the paper contrasts ship as Distributed and Estimator; new
 // strategies (async eval, sampled eval, EMA-weights eval) are additive —
 // implement the interface and pass it to WithEvalStrategy.
-type EvalStrategy = trainloop.Evaluator
+type EvalStrategy interface {
+	// Name identifies the strategy in logs and tables.
+	Name() string
+	// Evaluate scores the model. samplesPerReplica caps the per-replica
+	// evaluation work (0 = full shard); serial is the sample count the
+	// busiest single worker processed — the deterministic measure of the
+	// §3.3 evaluation bottleneck. A non-nil error (an engine poisoned by a
+	// failed state restore, say) aborts the run.
+	Evaluate(e *replica.Engine, samplesPerReplica int) (acc float64, serial int, err error)
+}
 
 // Distributed shards evaluation across all replicas — the Kumar et al.
 // train+eval loop the paper adopts (§3.3). Each worker scores

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"effnetscale/internal/checkpoint"
 	"effnetscale/internal/elastic"
@@ -11,20 +12,50 @@ import (
 	"effnetscale/internal/replica"
 	"effnetscale/internal/schedule"
 	"effnetscale/internal/telemetry"
-	"effnetscale/internal/trainloop"
 )
 
 // loopComponent is the snapshot component the Session owns on top of the
 // engine's: loop-level progress that is not engine state (best accuracy so
-// far, which seeds the resumed run's peak tracking).
+// far, which seeds the resumed run's peak tracking). The key is on-disk
+// data, so it keeps its historical name.
 const loopComponent = "trainloop"
 
-// EvalPoint is one evaluation snapshot (re-exported from the loop engine).
-type EvalPoint = trainloop.EvalPoint
+// EvalPoint is one evaluation snapshot.
+type EvalPoint struct {
+	Step     int
+	Epoch    float64
+	Accuracy float64
+	// Elapsed is the wall-clock time since the run started.
+	Elapsed time.Duration
+	// Wall is this evaluation's own wall-clock cost.
+	Wall time.Duration
+	// SerialSamples is the evaluation samples the busiest single worker
+	// processed — the per-point form of Result.EvalSerialSamples.
+	SerialSamples int
+}
 
 // Result summarizes a finished run.
 type Result struct {
-	*trainloop.Result
+	History      []EvalPoint
+	PeakAccuracy float64
+	// TimeToPeak is the elapsed wall-clock time at which peak accuracy was
+	// first observed — the paper's Figure 1 metric. Each Run seeds
+	// PeakAccuracy with the session's best so far (restored from the
+	// snapshot on resume), and TimeToPeak stays zero unless this run
+	// improves on it (wall-clock is not resumable state).
+	TimeToPeak time.Duration
+	TotalTime  time.Duration
+	// StepsRun counts steps executed by this Run call; a resumed run counts
+	// only post-resume steps (EvalPoint.Step carries the global numbering).
+	StepsRun int
+	// EvalSerialSamples counts evaluation samples processed serially by the
+	// busiest worker — the deterministic measure of the §3.3 bottleneck
+	// (the Estimator strategy processes world× more than Distributed).
+	EvalSerialSamples int
+	// EvalWallTime accumulates wall-clock time spent in evaluation.
+	EvalWallTime time.Duration
+	// Stopped reports that Session.Stop ended the run before all epochs.
+	Stopped bool
 	// ReachedGoal reports that a StopAtAccuracy callback (WithTarget) ended
 	// the run at its target accuracy.
 	ReachedGoal bool
@@ -459,87 +490,113 @@ func (s *Session) drainWriterEvents() {
 	}
 }
 
-// Run drives the trainloop engine to completion under the configured
-// callbacks and evaluation strategy. Run may be called again to continue
-// training the same weights for another round of epochs.
+// Run trains to the configured length and returns the run's history. Each
+// step fires, in order: every callback's OnStep; on the evaluation cadence
+// (and always at the final step) the evaluation, the telemetry record and
+// every OnEval; finished async snapshot writes; the periodic snapshot
+// capture; and the Stop check. A resumed session's first Run continues the
+// interrupted run's global step numbering and evaluation cadence. Run may be
+// called again to continue training the same weights for another round of
+// epochs.
 func (s *Session) Run() (*Result, error) {
 	s.stop = false
-	s.cur = &Result{}
+	res := &Result{PeakAccuracy: s.best}
+	s.cur = res
 	startStep := 0
 	if s.resumePending {
 		// Only the first Run after a restore starts mid-loop; later Runs
 		// keep today's "another round of epochs" semantics.
 		startStep = s.resumeStep
 		s.resumePending = false
-		s.cur.Resumed = true
+		res.Resumed = true
+	}
+	stepsPerEpoch := s.eng.StepsPerEpoch()
+	totalSteps := s.cfg.epochs * stepsPerEpoch
+	evalEvery := s.cfg.evalEvery
+	if evalEvery <= 0 {
+		evalEvery = stepsPerEpoch
 	}
 	if s.rec != nil {
 		s.rec.BeginRun(telemetry.RunInfo{
 			World:         s.eng.World(),
 			GlobalBatch:   s.eng.GlobalBatch(),
-			StepsPerEpoch: s.eng.StepsPerEpoch(),
-			TotalSteps:    s.cfg.epochs * s.eng.StepsPerEpoch(),
+			StepsPerEpoch: stepsPerEpoch,
+			TotalSteps:    totalSteps,
 		})
 	}
-	loopRes, err := trainloop.Run(trainloop.Config{
-		Engine:                s.eng,
-		Epochs:                s.cfg.epochs,
-		EvalEverySteps:        s.cfg.evalEvery,
-		EvalSamplesPerReplica: s.cfg.evalSamples,
-		Evaluator:             s.cfg.strategy,
-		Stop:                  func() bool { return s.stop },
-		StartStep:             startStep,
-		InitialBest:           s.best,
-		Hooks: trainloop.Hooks{
-			OnStep: func(step int, res replica.StepResult) {
-				for _, cb := range s.callbacks {
-					cb.OnStep(s, step, res)
-				}
-			},
-			OnEval: func(pt EvalPoint) {
-				if pt.Accuracy > s.best {
-					s.best = pt.Accuracy
-				}
-				if s.rec != nil {
-					s.rec.EvalDone(telemetry.EvalRecord{
-						Step:          pt.Step,
-						Epoch:         pt.Epoch,
-						Accuracy:      pt.Accuracy,
-						Wall:          pt.Wall,
-						SerialSamples: pt.SerialSamples,
-					})
-				}
-				for _, cb := range s.callbacks {
-					cb.OnEval(s, pt)
-				}
-			},
-			OnStepEnd: func(step int) {
-				s.drainWriterEvents()
-				if s.writer != nil && s.cfg.snapshotEvery > 0 && step%s.cfg.snapshotEvery == 0 {
-					// Capture is synchronous (a memory copy of the state);
-					// encoding and the fsynced write happen on the writer
-					// goroutine while training continues.
-					snap, err := s.captureSnapshot()
-					if err != nil {
-						s.NotifyCheckpoint(s.cfg.snapshotDir, err)
-						return
-					}
-					s.writer.Enqueue(int64(step), snap)
-				}
-			},
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("train: %w", err)
+	start := time.Now()
+	for step := startStep + 1; step <= totalSteps; step++ {
+		stepRes, err := s.eng.Step()
+		if err != nil {
+			return nil, fmt.Errorf("train: step %d: %w", step, err)
+		}
+		res.StepsRun++
+		for _, cb := range s.callbacks {
+			cb.OnStep(s, step, stepRes)
+		}
+		if step%evalEvery == 0 || step == totalSteps {
+			evalStart := time.Now()
+			acc, serial, err := s.cfg.strategy.Evaluate(s.eng, s.cfg.evalSamples)
+			if err != nil {
+				return nil, fmt.Errorf("train: eval at step %d: %w", step, err)
+			}
+			wall := time.Since(evalStart)
+			pt := EvalPoint{
+				Step:          step,
+				Epoch:         float64(step) / float64(stepsPerEpoch),
+				Accuracy:      acc,
+				Elapsed:       time.Since(start),
+				Wall:          wall,
+				SerialSamples: serial,
+			}
+			res.History = append(res.History, pt)
+			res.EvalSerialSamples += serial
+			res.EvalWallTime += wall
+			if acc > res.PeakAccuracy {
+				res.PeakAccuracy = acc
+				res.TimeToPeak = pt.Elapsed
+			}
+			if acc > s.best {
+				s.best = acc
+			}
+			if s.rec != nil {
+				s.rec.EvalDone(telemetry.EvalRecord{
+					Step:          pt.Step,
+					Epoch:         pt.Epoch,
+					Accuracy:      pt.Accuracy,
+					Wall:          pt.Wall,
+					SerialSamples: pt.SerialSamples,
+				})
+			}
+			for _, cb := range s.callbacks {
+				cb.OnEval(s, pt)
+			}
+		}
+		// The step's evaluation and best-accuracy bookkeeping are done, so
+		// the engine state is complete and quiescent: snapshot here.
+		s.drainWriterEvents()
+		if s.writer != nil && step%s.cfg.snapshotEvery == 0 {
+			// Capture is synchronous (a memory copy of the state); encoding
+			// and the fsynced write happen on the writer goroutine while
+			// training continues.
+			if snap, err := s.captureSnapshot(); err != nil {
+				s.NotifyCheckpoint(s.cfg.snapshotDir, err)
+			} else {
+				s.writer.Enqueue(int64(step), snap)
+			}
+		}
+		if s.stop {
+			res.Stopped = true
+			break
+		}
 	}
+	res.TotalTime = time.Since(start)
 	if s.writer != nil {
 		// The run's Result owns every snapshot outcome: wait for in-flight
 		// writes and fold their events in before handing the Result out.
 		s.writer.Flush()
 		s.drainWriterEvents()
 	}
-	res := s.cur
-	res.Result = loopRes
 	if s.rec != nil {
 		sum := s.rec.Summary()
 		res.Telemetry = &sum

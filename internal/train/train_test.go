@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -219,6 +220,127 @@ func countOf(xs []string, want string) int {
 		}
 	}
 	return n
+}
+
+func TestEvalEveryCadence(t *testing.T) {
+	var steps []int
+	sess, err := New(miniOpts(2, 8, 1,
+		WithEpochs(1),
+		WithEvalEvery(5),
+		WithEvalSamples(8),
+		WithCallbacks(Funcs{Step: func(_ *Session, step int, _ replica.StepResult) { steps = append(steps, step) }}),
+	)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := sess.Engine().StepsPerEpoch()
+	if total%5 == 0 {
+		t.Fatalf("test setup: %d steps is a multiple of the cadence, so the forced final eval is not exercised", total)
+	}
+	if res.StepsRun != total || len(steps) != total || steps[0] != 1 || steps[total-1] != total {
+		t.Fatalf("ran steps %v (StepsRun %d), want 1..%d", steps, res.StepsRun, total)
+	}
+	var want, got []int
+	for s := 5; s < total; s += 5 {
+		want = append(want, s)
+	}
+	want = append(want, total) // the final step always evaluates
+	for _, pt := range res.History {
+		got = append(got, pt.Step)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("evaluated at steps %v, want %v", got, want)
+	}
+	if res.EvalSerialSamples != 8*len(res.History) {
+		t.Fatalf("EvalSerialSamples = %d, want %d", res.EvalSerialSamples, 8*len(res.History))
+	}
+	if res.TimeToPeak <= 0 || res.TimeToPeak > res.TotalTime {
+		t.Fatalf("TimeToPeak %v outside (0, %v]", res.TimeToPeak, res.TotalTime)
+	}
+}
+
+func TestResumedRunKeepsGlobalStepsAndCadence(t *testing.T) {
+	dir := t.TempDir()
+	opts := func(extra ...Option) []Option {
+		return miniOpts(2, 8, 1, append([]Option{WithEpochs(2), WithEvalEvery(3), WithEvalSamples(8)}, extra...)...)
+	}
+	// Stop at the first step on both the eval and the snapshot cadence: the
+	// best accuracy before that evaluation is still 0.
+	const killAt = 3
+	first, err := New(opts(WithSnapshotDir(dir), WithSnapshotEvery(3), WithCallbacks(StopAfterStep(killAt)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstRes, err := first.Run()
+	first.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(firstRes.History) != 1 || firstRes.History[0].Step != killAt || firstRes.PeakAccuracy <= 0 {
+		t.Fatalf("interrupted run history %+v, want one eval at step %d above 0", firstRes.History, killAt)
+	}
+
+	var steps []int
+	resumed, err := New(opts(WithResume(dir),
+		WithCallbacks(Funcs{Step: func(_ *Session, step int, _ replica.StepResult) { steps = append(steps, step) }}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if _, from, _ := resumed.ResumedFrom(); from != killAt {
+		t.Fatalf("resumed from step %d, want %d", from, killAt)
+	}
+	// The snapshot is captured after the same step's evaluation, so it
+	// records the peak that evaluation set.
+	if resumed.restoredBest != firstRes.PeakAccuracy {
+		t.Fatalf("snapshot best %v, want the interrupted run's peak %v", resumed.restoredBest, firstRes.PeakAccuracy)
+	}
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 2 * resumed.Engine().StepsPerEpoch()
+	if total%3 == 0 {
+		t.Fatalf("test setup: %d steps is a multiple of the cadence, so the forced final eval is not exercised", total)
+	}
+	if res.StepsRun != total-killAt || steps[0] != killAt+1 || steps[len(steps)-1] != total {
+		t.Fatalf("resumed run covered global steps %d..%d (%d steps), want %d..%d", steps[0], steps[len(steps)-1], res.StepsRun, killAt+1, total)
+	}
+	for _, pt := range res.History {
+		if pt.Step%3 != 0 && pt.Step != total {
+			t.Fatalf("eval at step %d breaks the global cadence", pt.Step)
+		}
+	}
+	if last := res.History[len(res.History)-1]; last.Step != total {
+		t.Fatalf("last eval at step %d, want the final step %d", last.Step, total)
+	}
+	if res.PeakAccuracy < firstRes.PeakAccuracy {
+		t.Fatalf("PeakAccuracy %v lost the restored peak %v", res.PeakAccuracy, firstRes.PeakAccuracy)
+	}
+
+	// A resume at the end of training runs nothing and keeps the peak.
+	end := filepath.Join(t.TempDir(), "end.snap")
+	if err := resumed.Snapshot(end); err != nil {
+		t.Fatal(err)
+	}
+	done, err := New(opts(WithResume(end))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done.Close()
+	doneRes, err := done.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doneRes.StepsRun != 0 || len(doneRes.History) != 0 || doneRes.PeakAccuracy != res.PeakAccuracy {
+		t.Fatalf("resume at the end ran %d steps, %d evals (peak %v), want 0, 0 (%v)",
+			doneRes.StepsRun, len(doneRes.History), doneRes.PeakAccuracy, res.PeakAccuracy)
+	}
 }
 
 func TestEstimatorDistributedParity(t *testing.T) {
