@@ -33,6 +33,7 @@ import (
 	"effnetscale/internal/efficientnet"
 	"effnetscale/internal/metrics"
 	"effnetscale/internal/nn"
+	"effnetscale/internal/parallel"
 	"effnetscale/internal/podsim"
 	"effnetscale/internal/replica"
 	"effnetscale/internal/schedule"
@@ -217,8 +218,8 @@ func BenchmarkBF16(b *testing.B) {
 		xr := tensor.New(x.Shape()...)
 		wr := tensor.New(w.Shape()...)
 		for i := 0; i < b.N; i++ {
-			bf16.RoundSlice(xr.Data(), x.Data())
-			bf16.RoundSlice(wr.Data(), w.Data())
+			bf16.RoundSlice(xr.Data(), x.Data(), parallel.MaxWorkers())
+			bf16.RoundSlice(wr.Data(), w.Data(), parallel.MaxWorkers())
 			tensor.Conv2D(xr, wr, spec)
 		}
 	})
@@ -231,7 +232,7 @@ func BenchmarkBF16(b *testing.B) {
 		b.SetBytes(4 << 20)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bf16.RoundSlice(dst, src)
+			bf16.RoundSlice(dst, src, parallel.MaxWorkers())
 		}
 	})
 }
@@ -278,76 +279,120 @@ func BenchmarkKernel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ranks := startRanks(colls)
+			defer ranks.stop()
 			b.SetBytes(1 << 20)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runCollective(colls, func(c comm.Collective) { c.AllReduce(bufs[c.Rank()]) })
+				ranks.run(func(c comm.Collective) { c.AllReduce(bufs[c.Rank()]) })
 			}
 		})
 	}
 }
 
-// runCollective drives one collective call on every rank and waits.
-func runCollective(colls []comm.Collective, body func(c comm.Collective)) {
-	done := make(chan struct{})
-	for _, c := range colls {
-		go func(c comm.Collective) {
-			body(c)
-			done <- struct{}{}
-		}(c)
+// rankGoroutines drives one persistent goroutine per endpoint, so a
+// benchmark times the collective and not the start-up of n goroutines per
+// call — which at BN-statistics payloads costs more than the collective
+// itself.
+type rankGoroutines struct {
+	start []chan func(c comm.Collective)
+	done  chan struct{}
+}
+
+func startRanks(colls []comm.Collective) *rankGoroutines {
+	g := &rankGoroutines{start: make([]chan func(comm.Collective), len(colls)), done: make(chan struct{}, len(colls))}
+	for r, c := range colls {
+		g.start[r] = make(chan func(comm.Collective))
+		go func(start chan func(comm.Collective), c comm.Collective) {
+			for body := range start {
+				body(c)
+				g.done <- struct{}{}
+			}
+		}(g.start[r], c)
 	}
-	for range colls {
-		<-done
+	return g
+}
+
+// run has every rank call body once and waits for all of them.
+func (g *rankGoroutines) run(body func(c comm.Collective)) {
+	for _, s := range g.start {
+		s <- body
+	}
+	for range g.start {
+		<-g.done
 	}
 }
 
-// --- Collective algorithms and staging-buffer reuse ------------------------------
+func (g *rankGoroutines) stop() {
+	for _, s := range g.start {
+		close(s)
+	}
+}
+
+// --- Collective algorithms ---------------------------------------------------
 
 // BenchmarkCollective compares the all-reduce algorithms behind the
 // comm.Collective interface on identical payloads: the flat ring, the
-// recursive-doubling tree, and the executable hierarchical 2-D torus.
+// recursive-doubling tree, and the executable hierarchical 2-D torus — at
+// gradient-bucket size (1 MiB) and at the size of one distributed-BN
+// layer's float64 statistics (33 and 129 values), where per-call latency
+// rather than bandwidth sets the cost.
 func BenchmarkCollective(b *testing.B) {
-	const n = 8
 	slice := topology.Slice{Rows: 2, Cols: 4}
 	for _, bench := range []struct {
 		name string
 		prov comm.Provider
+		n    int
+		f64  int // float64 payload length; 0 = the 1 MiB float32 payload
 	}{
-		{"allreduce_ring_8ranks_1M", comm.RingProvider()},
-		{"allreduce_tree_8ranks_1M", comm.TreeProvider()},
-		{"allreduce_torus2d_8ranks_1M", comm.Torus2DProvider(slice)},
+		{"allreduce_ring_8ranks_1M", comm.RingProvider(), 8, 0},
+		{"allreduce_tree_8ranks_1M", comm.TreeProvider(), 8, 0},
+		{"allreduce_torus2d_8ranks_1M", comm.Torus2DProvider(slice), 8, 0},
+		{"allreduce_f64_ring_8ranks_33", comm.RingProvider(), 8, 33},
+		{"allreduce_f64_tree_8ranks_33", comm.TreeProvider(), 8, 33},
+		{"allreduce_f64_ring_8ranks_129", comm.RingProvider(), 8, 129},
+		{"allreduce_f64_tree_8ranks_129", comm.TreeProvider(), 8, 129},
+		{"allreduce_f64_ring_4ranks_33", comm.RingProvider(), 4, 33},
 	} {
 		bench := bench
 		b.Run(bench.name, func(b *testing.B) {
-			colls, err := bench.prov.Connect(n)
+			colls, err := bench.prov.Connect(bench.n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			bufs := make([][]float32, n)
-			for r := range bufs {
-				bufs[r] = make([]float32, 1<<20/4)
+			ranks := startRanks(colls)
+			defer ranks.stop()
+			body := func(c comm.Collective) {}
+			if bench.f64 > 0 {
+				bufs := make([][]float64, bench.n)
+				for r := range bufs {
+					bufs[r] = make([]float64, bench.f64)
+				}
+				b.SetBytes(int64(8 * bench.f64))
+				body = func(c comm.Collective) { c.AllReduceF64(bufs[c.Rank()]) }
+			} else {
+				bufs := make([][]float32, bench.n)
+				for r := range bufs {
+					bufs[r] = make([]float32, 1<<20/4)
+				}
+				b.SetBytes(1 << 20)
+				body = func(c comm.Collective) { c.AllReduce(bufs[c.Rank()]) }
 			}
-			b.SetBytes(1 << 20)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runCollective(colls, func(c comm.Collective) { c.AllReduce(bufs[c.Rank()]) })
+				ranks.run(body)
 			}
 		})
 	}
 
-	// Staging-buffer reuse ablation: every ring/tree hop used to allocate a
-	// fresh chunk slice, so one 8-rank collective allocated O(n²) buffers.
-	// With per-rank staging pools the steady state reuses them. Measured
-	// before the pools (same shapes, 8 ranks): AllGather 81 allocs/op and
-	// 918 KB/op; RingAllReduce 137 allocs/op and 1.8 MB/op; Broadcast 32
-	// allocs/op; ReduceScatter 89 allocs/op. The remaining allocations are
-	// the per-op goroutine fan-out, not per-hop buffers.
 	b.Run("allgather_8ranks_16K", func(b *testing.B) {
 		colls, err := comm.RingProvider().Connect(8)
 		if err != nil {
 			b.Fatal(err)
 		}
+		ranks := startRanks(colls)
+		defer ranks.stop()
 		locals := make([][]float32, 8)
 		outs := make([][]float32, 8)
 		for r := range locals {
@@ -358,7 +403,7 @@ func BenchmarkCollective(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			runCollective(colls, func(c comm.Collective) { c.AllGather(locals[c.Rank()], outs[c.Rank()]) })
+			ranks.run(func(c comm.Collective) { c.AllGather(locals[c.Rank()], outs[c.Rank()]) })
 		}
 	})
 	b.Run("broadcast_8ranks_128K", func(b *testing.B) {
@@ -366,6 +411,8 @@ func BenchmarkCollective(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		ranks := startRanks(colls)
+		defer ranks.stop()
 		bufs := make([][]float32, 8)
 		for r := range bufs {
 			bufs[r] = make([]float32, 32768)
@@ -374,7 +421,7 @@ func BenchmarkCollective(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			runCollective(colls, func(c comm.Collective) { c.Broadcast(bufs[c.Rank()], 0) })
+			ranks.run(func(c comm.Collective) { c.Broadcast(bufs[c.Rank()], 0) })
 		}
 	})
 }

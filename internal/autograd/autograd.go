@@ -320,15 +320,17 @@ func Reshape(a *Value, shape ...int) *Value {
 	})
 }
 
-// MatMul returns a @ b for rank-2 operands.
-func MatMul(a, b *Value) *Value {
-	out := tensor.MatMul(a.T, b.T)
+// MatMul returns a @ b for rank-2 operands, with GEMM temporaries and
+// worker budget from sc (nil = default arena, every worker).
+func MatMul(a, b *Value, sc *tensor.Scratch) *Value {
+	out := tensor.New(a.T.Dim(0), b.T.Dim(1))
+	tensor.MatMulInto(out, a.T, b.T, false, sc)
 	return NewOp("matmul", out, []*Value{a, b}, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			a.Accumulate(tensor.MatMulTB(g, b.T)) // dA = g @ Bᵀ
+			a.Accumulate(tensor.MatMulTB(g, b.T, sc)) // dA = g @ Bᵀ
 		}
 		if b.requiresGrad {
-			b.Accumulate(tensor.MatMulTA(a.T, g)) // dB = Aᵀ @ g
+			b.Accumulate(tensor.MatMulTA(a.T, g, sc)) // dB = Aᵀ @ g
 		}
 	})
 }

@@ -73,28 +73,31 @@ func ReLU(a *Value) *Value {
 
 // --- Convolutions with mixed-precision policy -------------------------------
 
-// maybeBF16 returns t rounded to bfloat16 precision when enabled, else t.
-// Emulates feeding the MXU bf16 operands (paper §3.5).
-func maybeBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
+// RoundBF16 returns t rounded to bfloat16 precision when enabled, else t,
+// within sc's kernel-worker budget (nil = every worker). Emulates feeding
+// the MXU bf16 operands (paper §3.5); the inference path and the sharded
+// convolutions round their operands through it too.
+func RoundBF16(t *tensor.Tensor, enabled bool, sc *tensor.Scratch) *tensor.Tensor {
 	if !enabled {
 		return t
 	}
 	r := tensor.New(t.Shape()...)
-	bf16.RoundSlice(r.Data(), t.Data())
+	bf16.RoundSlice(r.Data(), t.Data(), sc.Workers())
 	return r
 }
 
 // Conv2D convolves x with w under spec. When policy.ConvBF16 is set, inputs
 // and weights are rounded to bfloat16 before the kernel runs (forward and
 // backward), emulating the paper's mixed-precision training. Accumulation
-// stays in fp32, as on TPU. Kernel temporaries come from sc (nil = the
-// process-wide arena); engines pass their own so working sets stay separate.
+// stays in fp32, as on TPU. Kernel temporaries and the worker budget come
+// from sc (nil = the process-wide arena, every worker); engines pass their
+// own so working sets stay separate.
 func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Scratch) *Value {
-	xc := maybeBF16(x.T, policy.ConvBF16)
-	wc := maybeBF16(w.T, policy.ConvBF16)
+	xc := RoundBF16(x.T, policy.ConvBF16, sc)
+	wc := RoundBF16(w.T, policy.ConvBF16, sc)
 	out := tensor.Conv2DScratch(xc, wc, spec, sc)
 	return NewOp("conv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
-		gc := maybeBF16(g, policy.ConvBF16)
+		gc := RoundBF16(g, policy.ConvBF16, sc)
 		dx, dw := tensor.Conv2DBackwardScratch(xc, wc, gc, spec, sc)
 		x.Accumulate(dx)
 		w.Accumulate(dw)
@@ -102,14 +105,16 @@ func Conv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Sc
 }
 
 // DepthwiseConv2D applies a depthwise convolution under the same
-// mixed-precision policy as Conv2D.
-func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy) *Value {
-	xc := maybeBF16(x.T, policy.ConvBF16)
-	wc := maybeBF16(w.T, policy.ConvBF16)
-	out := tensor.DepthwiseConv2D(xc, wc, spec)
+// mixed-precision policy, arena and worker budget as Conv2D.
+func DepthwiseConv2D(x, w *Value, spec tensor.ConvSpec, policy bf16.Policy, sc *tensor.Scratch) *Value {
+	xc := RoundBF16(x.T, policy.ConvBF16, sc)
+	wc := RoundBF16(w.T, policy.ConvBF16, sc)
+	out := tensor.New(spec.OutShape(xc, wc)...)
+	tensor.DepthwiseConv2DInto(out, xc, wc, spec, sc)
 	return NewOp("dwconv2d", out, []*Value{x, w}, func(g *tensor.Tensor) {
-		gc := maybeBF16(g, policy.ConvBF16)
-		dx, dw := tensor.DepthwiseConv2DBackward(xc, wc, gc, spec)
+		gc := RoundBF16(g, policy.ConvBF16, sc)
+		dx, dw := tensor.New(xc.Shape()...), tensor.New(wc.Shape()...)
+		tensor.DepthwiseConv2DBackwardInto(dx, dw, xc, wc, gc, spec, sc)
 		x.Accumulate(dx)
 		w.Accumulate(dw)
 	})

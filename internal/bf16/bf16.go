@@ -66,14 +66,14 @@ func Round(f float32) float32 {
 }
 
 // RoundSlice rounds every element of src to bfloat16 precision, writing into
-// dst (which may alias src). Lengths must match. The inner loop is unrolled
-// four wide over the pure bit-level rounding formula; only NaNs take the
-// branchy path.
-func RoundSlice(dst, src []float32) {
+// dst (which may alias src), on up to workers goroutines. Lengths must
+// match. The inner loop is unrolled four wide over the pure bit-level
+// rounding formula; only NaNs take the branchy path.
+func RoundSlice(dst, src []float32, workers int) {
 	if len(dst) != len(src) {
 		panic("bf16: RoundSlice length mismatch")
 	}
-	parallel.ForChunked(len(src), 2048, func(lo, hi int) {
+	parallel.ForChunked(workers, len(src), 2048, func(lo, hi int) {
 		d, s := dst[lo:hi], src[lo:hi:hi]
 		i := 0
 		for ; i+4 <= len(s); i += 4 {
@@ -99,7 +99,7 @@ func PackSlice(dst []BF16, src []float32) {
 	if len(dst) != len(src) {
 		panic("bf16: PackSlice length mismatch")
 	}
-	parallel.ForChunked(len(src), 2048, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(src), 2048, func(lo, hi int) {
 		d, s := dst[lo:hi], src[lo:hi:hi]
 		for i, f := range s {
 			d[i] = BF16(roundBits(math.Float32bits(f)) >> 16)
@@ -113,7 +113,7 @@ func UnpackSlice(dst []float32, src []BF16) {
 	if len(dst) != len(src) {
 		panic("bf16: UnpackSlice length mismatch")
 	}
-	parallel.ForChunked(len(src), 2048, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(src), 2048, func(lo, hi int) {
 		d, s := dst[lo:hi], src[lo:hi:hi]
 		for i, x := range s {
 			d[i] = math.Float32frombits(uint32(x) << 16)

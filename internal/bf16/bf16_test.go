@@ -104,14 +104,14 @@ func TestTruncateModeBiased(t *testing.T) {
 func TestRoundSlice(t *testing.T) {
 	src := []float32{1.0000001, -2.9999, 3, 0}
 	dst := make([]float32, len(src))
-	RoundSlice(dst, src)
+	RoundSlice(dst, src, 4)
 	for i := range src {
 		if dst[i] != Round(src[i]) {
 			t.Fatalf("RoundSlice[%d] = %v, want %v", i, dst[i], Round(src[i]))
 		}
 	}
 	// In-place aliasing must work.
-	RoundSlice(src, src)
+	RoundSlice(src, src, 4)
 	for i := range src {
 		if src[i] != dst[i] {
 			t.Fatalf("in-place RoundSlice[%d] = %v, want %v", i, src[i], dst[i])
@@ -125,7 +125,7 @@ func TestRoundSliceLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RoundSlice(make([]float32, 2), make([]float32, 3))
+	RoundSlice(make([]float32, 2), make([]float32, 3), 1)
 }
 
 func TestMonotonicQuick(t *testing.T) {

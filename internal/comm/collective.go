@@ -64,10 +64,10 @@ func (r *Ring) Rank() int { return r.p.rank }
 func (r *Ring) WorldSize() int { return r.p.w.n }
 
 // AllReduce implements Collective.
-func (r *Ring) AllReduce(buf []float32) { r.p.ringAllReduce(buf) }
+func (r *Ring) AllReduce(buf []float32) { ringAllReduce(r.p, buf) }
 
 // AllReduceF64 implements Collective.
-func (r *Ring) AllReduceF64(buf []float64) { r.p.ringAllReduceF64(buf) }
+func (r *Ring) AllReduceF64(buf []float64) { ringAllReduce(r.p, buf) }
 
 // AllGather implements Collective.
 func (r *Ring) AllGather(local, out []float32) { r.p.allGather(local, out) }
@@ -97,10 +97,10 @@ type Tree struct {
 }
 
 // AllReduce implements Collective.
-func (t *Tree) AllReduce(buf []float32) { t.p.treeAllReduce(buf) }
+func (t *Tree) AllReduce(buf []float32) { treeAllReduce(t.p, buf) }
 
 // AllReduceF64 implements Collective.
-func (t *Tree) AllReduceF64(buf []float64) { t.p.treeAllReduceF64(buf) }
+func (t *Tree) AllReduceF64(buf []float64) { treeAllReduce(t.p, buf) }
 
 // Algorithm implements Collective. On non-power-of-two worlds, where the
 // recursive-doubling exchange has no partner for every rank, it reports the
@@ -143,42 +143,32 @@ func (t *Torus2D) WorldSize() int { return t.n }
 func (t *Torus2D) Grid() topology.Slice { return t.grid }
 
 // AllReduce implements Collective with the row-then-column hierarchy.
-func (t *Torus2D) AllReduce(buf []float32) {
+func (t *Torus2D) AllReduce(buf []float32) { torusAllReduce(t, buf) }
+
+// AllReduceF64 implements Collective.
+func (t *Torus2D) AllReduceF64(buf []float64) { torusAllReduce(t, buf) }
+
+// torusAllReduce composes the hierarchy from the ring primitives of the
+// row and column worlds.
+func torusAllReduce[T float](t *Torus2D, buf []T) {
 	rows, cols := t.grid.Rows, t.grid.Cols
 	if t.n == 1 {
 		return
 	}
 	if rows == 1 || cols == 1 {
 		// Degenerate grid: one ring covers everything.
-		t.flat.ringAllReduce(buf)
+		ringAllReduce(t.flat, buf)
 		return
 	}
 	// Phase 1: reduce-scatter along the row; this rank ends owning the
 	// row-sum of chunk (col+1) mod cols.
-	t.row.ringReduceScatter(buf)
-	lo, hi := chunkBounds(len(buf), cols, (t.row.rank+1)%cols)
+	lo, hi := ringReduceScatter(t.row, buf)
 	// Phase 2: all-reduce the owned share along the column. Every rank of a
 	// column owns the same chunk index, so the share is fully reduced across
 	// the whole world after this phase.
-	t.col.ringAllReduce(buf[lo:hi])
+	ringAllReduce(t.col, buf[lo:hi])
 	// Phase 3: all-gather along the row to rebuild the full buffer.
-	t.row.ringAllGather(buf)
-}
-
-// AllReduceF64 implements Collective.
-func (t *Torus2D) AllReduceF64(buf []float64) {
-	rows, cols := t.grid.Rows, t.grid.Cols
-	if t.n == 1 {
-		return
-	}
-	if rows == 1 || cols == 1 {
-		t.flat.ringAllReduceF64(buf)
-		return
-	}
-	t.row.ringReduceScatterF64(buf)
-	lo, hi := chunkBounds(len(buf), cols, (t.row.rank+1)%cols)
-	t.col.ringAllReduceF64(buf[lo:hi])
-	t.row.ringAllGatherF64(buf)
+	ringAllGather(t.row, buf)
 }
 
 // AllGather implements Collective.

@@ -1,159 +1,60 @@
 package comm
 
-// Additional transport-level collectives beyond the ring all-reduce:
-// broadcast, all-gather, reduce-scatter and a recursive-doubling tree
-// all-reduce. These are the building blocks the Collective implementations
-// (collective.go) compose; the ring variants are bandwidth-optimal for large
-// payloads, the tree variant beats them for small latency-bound payloads.
+// The transport-level collectives beyond the ring all-reduce: broadcast,
+// all-gather, reduce-scatter and the recursive-doubling tree all-reduce.
+// These are the building blocks the Collective implementations
+// (collective.go) compose.
 
-// broadcast copies root's buf to every rank (ring pipeline). All ranks must
-// pass buffers of the same length; non-root contents are overwritten.
+// broadcast copies root's buf to every rank. All ranks must pass buffers of
+// the same length; non-root contents are overwritten.
 func (p *Peer) broadcast(buf []float32, root int) {
-	n := p.w.n
-	if n == 1 {
+	if p.w.n == 1 {
 		return
 	}
-	rank := p.rank
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-	// Positions along the ring starting at root.
-	pos := ((rank-root)%n + n) % n
-	// Each rank (except the last) forwards once; each rank (except root)
-	// receives once. Receive strictly before forwarding.
-	if pos != 0 {
-		in := <-recv
-		if len(in) != len(buf) {
-			panic("comm: broadcast buffer length mismatch across ranks")
-		}
-		copy(buf, in)
-		p.release32(prev, in)
+	l := publish(p, buf, "comm: broadcast buffer length mismatch across ranks")
+	if p.rank != root {
+		copy(buf, l.in[root])
 	}
-	if pos != n-1 {
-		out := p.stage32(len(buf))
-		copy(out, buf)
-		send <- out
-	}
-	p.Barrier()
+	p.w.bar.wait()
 }
 
 // allGather concatenates every rank's local slice into out, ordered by rank.
 // len(out) must equal WorldSize() × len(local).
 func (p *Peer) allGather(local, out []float32) {
-	n := p.w.n
-	l := len(local)
-	if len(out) != n*l {
+	n, k := p.w.n, len(local)
+	if len(out) != n*k {
 		panic("comm: all-gather output length must be world × local length")
 	}
-	rank := p.rank
-	copy(out[rank*l:(rank+1)*l], local)
 	if n == 1 {
+		copy(out, local)
 		return
 	}
-	prev := (rank - 1 + n) % n
-	send := p.w.f32[rank]
-	recv := p.w.f32[prev]
-	// Ring all-gather: in step s, forward the chunk received in step s−1.
-	cur := rank
-	for s := 0; s < n-1; s++ {
-		outChunk := p.stage32(l)
-		copy(outChunk, out[cur*l:(cur+1)*l])
-		send <- outChunk
-		in := <-recv
-		cur = ((cur-1)%n + n) % n
-		if len(in) != l {
-			panic("comm: all-gather buffer length mismatch across ranks")
-		}
-		copy(out[cur*l:(cur+1)*l], in)
-		p.release32(prev, in)
+	l := publish(p, local, "comm: all-gather buffer length mismatch across ranks")
+	for r, src := range l.in {
+		copy(out[r*k:(r+1)*k], src)
 	}
+	p.w.bar.wait()
 }
 
-// reduceScatter sums buf across ranks and leaves rank r holding only chunk r
-// of the reduced result (returned as a fresh slice; chunk boundaries follow
-// chunkBounds of index (r+1) mod n). buf is left in an unspecified
-// partially-reduced state.
+// reduceScatter sums buf across ranks in ring order and returns, as a fresh
+// slice, chunk (rank+1) mod n of the reduced result (bounds per
+// chunkBounds). buf is left partially reduced.
 func (p *Peer) reduceScatter(buf []float32) []float32 {
-	n := p.w.n
-	if n == 1 {
-		out := make([]float32, len(buf))
-		copy(out, buf)
-		return out
-	}
-	p.ringReduceScatter(buf)
-	// After n−1 steps, rank owns the fully reduced chunk (rank+1 mod n).
-	lo, hi := chunkBounds(len(buf), n, (p.rank+1)%n)
-	out := make([]float32, hi-lo)
-	copy(out, buf[lo:hi])
-	return out
+	lo, hi := ringReduceScatter(p, buf)
+	return append([]float32(nil), buf[lo:hi]...)
 }
 
-// treeAllReduce sums buf across all ranks using recursive halving/doubling:
-// log2(n) rounds, each exchanging the full payload with a partner at
-// distance 2^round. It moves O(log n) full payloads per rank, beating the
-// ring for small latency-bound payloads. The implementation stages through
-// per-rank channels with a barrier per round to keep the SPMD lockstep
-// property. Non-power-of-two worlds fall back to the ring (reported by
-// Tree.Algorithm as a ring fallback); returns true when the tree actually
-// ran.
-func (p *Peer) treeAllReduce(buf []float32) bool {
-	n := p.w.n
-	if n == 1 {
-		return true
+// treeAllReduce sums buf across all ranks in recursive halving/doubling
+// order: the total of log2(n) rounds that each add the partial sum of the
+// partner at distance 2^round, i.e. the balanced pairwise sum over rank
+// indices. The message-passing form moves O(log n) full payloads per rank,
+// beating the ring for small latency-bound payloads. Non-power-of-two
+// worlds fall back to the ring (reported by Tree.Algorithm as a ring
+// fallback).
+func treeAllReduce[T float](p *Peer, buf []T) {
+	if n := p.w.n; n&(n-1) != 0 {
+		ringAllReduce(p, buf)
+		return
 	}
-	if n&(n-1) != 0 {
-		p.ringAllReduce(buf)
-		return false
-	}
-	rank := p.rank
-	for dist := 1; dist < n; dist <<= 1 {
-		partner := rank ^ dist
-		out := p.stage32(len(buf))
-		copy(out, buf)
-		// Stage the payload for the partner, then collect the partner's.
-		// Addressing: channel f32[rank] carries rank's payload this round;
-		// rendezvous via barrier so rounds never overlap.
-		p.w.f32[rank] <- out
-		p.Barrier()
-		in := <-p.w.f32[partner]
-		if len(in) != len(buf) {
-			panic("comm: tree all-reduce buffer length mismatch across ranks")
-		}
-		for i := range buf {
-			buf[i] += in[i]
-		}
-		p.release32(partner, in)
-		p.Barrier()
-	}
-	return true
-}
-
-// treeAllReduceF64 is treeAllReduce over float64 buffers.
-func (p *Peer) treeAllReduceF64(buf []float64) bool {
-	n := p.w.n
-	if n == 1 {
-		return true
-	}
-	if n&(n-1) != 0 {
-		p.ringAllReduceF64(buf)
-		return false
-	}
-	rank := p.rank
-	for dist := 1; dist < n; dist <<= 1 {
-		partner := rank ^ dist
-		out := p.stage64(len(buf))
-		copy(out, buf)
-		p.w.f64[rank] <- out
-		p.Barrier()
-		in := <-p.w.f64[partner]
-		if len(in) != len(buf) {
-			panic("comm: tree all-reduce buffer length mismatch across ranks")
-		}
-		for i := range buf {
-			buf[i] += in[i]
-		}
-		p.release64(partner, in)
-		p.Barrier()
-	}
-	return true
+	allReduce(p, buf, true)
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -53,7 +54,7 @@ func TestRingAllReduceMatchesSequentialSum(t *testing.T) {
 			results := make([][]float32, n)
 			runWorld(n, func(rank int, p *Peer) {
 				buf := append([]float32(nil), inputs[rank]...)
-				p.ringAllReduce(buf)
+				ringAllReduce(p, buf)
 				results[rank] = buf
 			})
 			for r := 0; r < n; r++ {
@@ -95,7 +96,7 @@ func TestRingAllReduceF64PropertyQuick(t *testing.T) {
 		var mu sync.Mutex
 		runWorld(n, func(rank int, p *Peer) {
 			buf := append([]float64(nil), inputs[rank]...)
-			p.ringAllReduceF64(buf)
+			ringAllReduce(p, buf)
 			for i := range want {
 				if math.Abs(buf[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 					mu.Lock()
@@ -144,7 +145,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestSingleRankCollectivesNoop(t *testing.T) {
 	runWorld(1, func(rank int, p *Peer) {
 		buf := []float32{1, 2, 3}
-		p.ringAllReduce(buf)
+		ringAllReduce(p, buf)
 		if buf[0] != 1 || buf[2] != 3 {
 			t.Error("single-rank all-reduce must be identity")
 		}
@@ -181,36 +182,185 @@ func TestChunkBoundsCoverExactly(t *testing.T) {
 	}
 }
 
-func TestStagingBuffersAreReused(t *testing.T) {
-	// After a first collective has populated the recycle pools, further
-	// collectives on the same world must not allocate staging buffers.
-	n, l := 4, 1024
-	colls, err := RingProvider().Connect(n)
-	if err != nil {
-		t.Fatal(err)
+// rankPool drives one persistent goroutine per endpoint, so that a test
+// counts the collective's own allocations rather than those of starting n
+// goroutines per call.
+type rankPool struct {
+	start []chan func(rank int, c Collective)
+	done  chan struct{}
+}
+
+func newRankPool(colls []Collective) *rankPool {
+	p := &rankPool{start: make([]chan func(int, Collective), len(colls)), done: make(chan struct{}, len(colls))}
+	for r := range colls {
+		p.start[r] = make(chan func(int, Collective))
+		go func(r int) {
+			for body := range p.start[r] {
+				body(r, colls[r])
+				p.done <- struct{}{}
+			}
+		}(r)
 	}
-	warm := func() {
-		runCollectives(colls, func(rank int, c Collective) {
-			buf := make([]float32, l)
-			c.AllReduce(buf)
+	return p
+}
+
+// run has every rank call body once and waits for all of them.
+func (p *rankPool) run(body func(rank int, c Collective)) {
+	for _, s := range p.start {
+		s <- body
+	}
+	for range p.start {
+		<-p.done
+	}
+}
+
+func (p *rankPool) close() {
+	for _, s := range p.start {
+		close(s)
+	}
+}
+
+func TestWarmWorldAllocatesNothing(t *testing.T) {
+	// Once every rank's fold scratch has grown to the payload, collectives
+	// allocate nothing. ReduceScatter is left out: it returns a fresh slice
+	// by contract.
+	const n, l = 8, 1031
+	bufs := make([][]float32, n)
+	bufs64 := make([][]float64, n)
+	outs := make([][]float32, n)
+	for r := 0; r < n; r++ {
+		bufs[r] = make([]float32, l)
+		bufs64[r] = make([]float64, l)
+		outs[r] = make([]float32, n*l)
+	}
+	body := func(rank int, c Collective) {
+		c.AllReduce(bufs[rank])
+		c.AllReduceF64(bufs64[rank])
+		c.AllGather(bufs[rank], outs[rank])
+		c.Broadcast(bufs[rank], n-1)
+		c.Barrier()
+	}
+	for _, prov := range allProviders() {
+		pool := newRankPool(connectOrFatal(t, prov, n))
+		pool.run(body)
+		if allocs := testing.AllocsPerRun(20, func() { pool.run(body) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per warm round of collectives, want 0", prov.Name(), allocs)
+		}
+		pool.close()
+	}
+}
+
+func TestStressAllOpsBackToBack(t *testing.T) {
+	// All six operations back to back for many rounds, payload length
+	// changing every round, on every provider. Inputs are small integers so
+	// every fold order sums them exactly and each round checks its own
+	// totals — a rank that read a buffer of the wrong round, or a result
+	// scratch its owner had already overwritten, shows up as a wrong sum
+	// (and under -race as a data race).
+	const rounds = 1000
+	for _, prov := range allProviders() {
+		for _, n := range []int{2, 3, 8} {
+			colls := connectOrFatal(t, prov, n)
+			pool := newRankPool(colls)
+			failed := make([]string, n)
+			pool.run(func(r int, c Collective) {
+				fail := func(format string, args ...any) {
+					if failed[r] == "" {
+						failed[r] = fmt.Sprintf(format, args...)
+					}
+				}
+				for round := 0; round < rounds; round++ {
+					l := 1 + (round*7)%41
+					// Σ_r (r + i + round) over n ranks.
+					want := func(i int) float64 { return float64(n*(n-1)/2 + n*(i+round)) }
+					buf := make([]float32, l)
+					buf64 := make([]float64, l)
+					for i := range buf {
+						buf[i] = float32(r + i + round)
+						buf64[i] = float64(r + i + round)
+					}
+					c.AllReduce(buf)
+					c.AllReduceF64(buf64)
+					for i := range buf {
+						if float64(buf[i]) != want(i) || buf64[i] != want(i) {
+							fail("round %d: all-reduce [%d] = %v / %v, want %v", round, i, buf[i], buf64[i], want(i))
+						}
+					}
+					local := []float32{float32(r), float32(round)}
+					out := make([]float32, 2*n)
+					c.AllGather(local, out)
+					for src := 0; src < n; src++ {
+						if out[2*src] != float32(src) || out[2*src+1] != float32(round) {
+							fail("round %d: all-gather block %d = %v", round, src, out[2*src:2*src+2])
+						}
+					}
+					rs := make([]float32, l)
+					for i := range rs {
+						rs[i] = float32(r + i + round)
+					}
+					lo, _ := chunkBounds(l, n, (r+1)%n)
+					for i, v := range c.ReduceScatter(rs) {
+						if float64(v) != want(lo+i) {
+							fail("round %d: reduce-scatter [%d] = %v, want %v", round, lo+i, v, want(lo+i))
+						}
+					}
+					root := round % n
+					bc := []float32{float32(r), float32(round)}
+					c.Broadcast(bc, root)
+					if bc[0] != float32(root) || bc[1] != float32(round) {
+						fail("round %d: broadcast from %d = %v", round, root, bc)
+					}
+					c.Barrier()
+				}
+			})
+			pool.close()
+			for r, msg := range failed {
+				if msg != "" {
+					t.Errorf("%s n=%d rank %d: %s", prov.Name(), n, r, msg)
+				}
+			}
+		}
+	}
+}
+
+func TestLengthMismatchPanicsOnEveryRank(t *testing.T) {
+	// A rank that passes a buffer of a different length must not corrupt
+	// or deadlock the world silently: every rank panics with the message
+	// of the collective that caught it.
+	for _, tc := range []struct {
+		name string
+		prov Provider
+		n    int
+		op   func(c Collective, l int)
+		want string
+	}{
+		{"ring allreduce", RingProvider(), 3, func(c Collective, l int) { c.AllReduce(make([]float32, l)) },
+			"comm: ring reduce-scatter buffer length mismatch across ranks"},
+		{"ring allreduce f64", RingProvider(), 3, func(c Collective, l int) { c.AllReduceF64(make([]float64, l)) },
+			"comm: ring reduce-scatter buffer length mismatch across ranks"},
+		{"tree allreduce", TreeProvider(), 4, func(c Collective, l int) { c.AllReduce(make([]float32, l)) },
+			"comm: tree all-reduce buffer length mismatch across ranks"},
+		{"reduce-scatter", RingProvider(), 3, func(c Collective, l int) { c.ReduceScatter(make([]float32, l)) },
+			"comm: ring reduce-scatter buffer length mismatch across ranks"},
+		{"all-gather", RingProvider(), 3, func(c Collective, l int) { c.AllGather(make([]float32, l), make([]float32, 3*l)) },
+			"comm: all-gather buffer length mismatch across ranks"},
+		{"broadcast", RingProvider(), 3, func(c Collective, l int) { c.Broadcast(make([]float32, l), 0) },
+			"comm: broadcast buffer length mismatch across ranks"},
+	} {
+		got := make([]any, tc.n)
+		runCollectives(connectOrFatal(t, tc.prov, tc.n), func(r int, c Collective) {
+			defer func() { got[r] = recover() }()
+			l := 4
+			if r == 0 {
+				l = 5
+			}
+			tc.op(c, l)
 		})
-	}
-	warm()
-	w := colls[0].(*Ring).p.w
-	pooled := 0
-	for r := 0; r < n; r++ {
-		pooled += len(w.rec32[r])
-	}
-	if pooled == 0 {
-		t.Fatal("no staging buffers were recycled after an all-reduce")
-	}
-	warm()
-	pooledAfter := 0
-	for r := 0; r < n; r++ {
-		pooledAfter += len(w.rec32[r])
-	}
-	if pooledAfter < pooled {
-		t.Fatalf("staging pool shrank across collectives: %d -> %d", pooled, pooledAfter)
+		for r, msg := range got {
+			if msg != tc.want {
+				t.Errorf("%s: rank %d panicked with %v, want %q", tc.name, r, msg, tc.want)
+			}
+		}
 	}
 }
 

@@ -169,7 +169,7 @@ func (d *Dataset) FillBatch(split int, indices []int, batch *tensor.Tensor, labe
 		panic("data: FillBatch index/label length mismatch")
 	}
 	img := 3 * h * w
-	parallel.ForChunked(len(indices), 1, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(indices), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			labels[i] = d.Render(split, indices[i], batch.Data()[i*img:(i+1)*img])
 		}

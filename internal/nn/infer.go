@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"effnetscale/internal/autograd"
 	"effnetscale/internal/bf16"
 	"effnetscale/internal/tensor"
 )
@@ -23,17 +24,6 @@ import (
 // batch normalization uses its running statistics.
 type Inferer interface {
 	Infer(policy bf16.Policy, x *tensor.Tensor) *tensor.Tensor
-}
-
-// roundBF16 returns t rounded to bfloat16 precision when enabled, else t —
-// the inference twin of the tape path's operand rounding (paper §3.5).
-func roundBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
-	if !enabled {
-		return t
-	}
-	r := tensor.New(t.Shape()...)
-	bf16.RoundSlice(r.Data(), t.Data())
-	return r
 }
 
 // sigmoid32 matches the tape path's sigmoid exactly (same float64 round trip).
@@ -68,15 +58,15 @@ func ReLUTensor(t *tensor.Tensor) *tensor.Tensor {
 
 // Infer implements Inferer.
 func (l *Conv2D) Infer(policy bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
-	xc := roundBF16(x, policy.ConvBF16)
-	wc := roundBF16(l.W.Value.T, policy.ConvBF16)
+	xc := autograd.RoundBF16(x, policy.ConvBF16, nil)
+	wc := autograd.RoundBF16(l.W.Value.T, policy.ConvBF16, nil)
 	return tensor.Conv2D(xc, wc, l.Spec)
 }
 
 // Infer implements Inferer.
 func (l *DepthwiseConv2D) Infer(policy bf16.Policy, x *tensor.Tensor) *tensor.Tensor {
-	xc := roundBF16(x, policy.ConvBF16)
-	wc := roundBF16(l.W.Value.T, policy.ConvBF16)
+	xc := autograd.RoundBF16(x, policy.ConvBF16, nil)
+	wc := autograd.RoundBF16(l.W.Value.T, policy.ConvBF16, nil)
 	return tensor.DepthwiseConv2D(xc, wc, l.Spec)
 }
 

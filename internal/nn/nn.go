@@ -74,10 +74,11 @@ type Ctx struct {
 	Precision bf16.Policy
 	// RNG drives dropout and stochastic depth; may be nil in eval mode.
 	RNG *rand.Rand
-	// Scratch supplies kernel temporaries (im2col buffers, GEMM panels).
-	// May be nil, in which case kernels share the process-wide arena; the
-	// replica engine sets a per-engine arena so concurrent engines keep
-	// separate working sets.
+	// Scratch supplies kernel temporaries (im2col buffers, GEMM panels)
+	// and the kernel-worker budget. May be nil, in which case kernels share
+	// the process-wide arena and may use every worker; the replica engine
+	// sets a per-engine arena so concurrent engines keep separate working
+	// sets, and budgets it so its replicas do not oversubscribe the cores.
 	Scratch *tensor.Scratch
 }
 
@@ -140,7 +141,7 @@ func NewDepthwiseConv2D(rng *rand.Rand, name string, c, k, stride int) *Depthwis
 
 // Forward applies the depthwise convolution.
 func (l *DepthwiseConv2D) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
-	return autograd.DepthwiseConv2D(x, l.W.Value, l.Spec, ctx.Precision)
+	return autograd.DepthwiseConv2D(x, l.W.Value, l.Spec, ctx.Precision, ctx.Scratch)
 }
 
 // Params returns the depthwise kernel.
@@ -165,8 +166,8 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 }
 
 // Forward computes x@W + b.
-func (l *Dense) Forward(_ *Ctx, x *autograd.Value) *autograd.Value {
-	return autograd.AddRowBias(autograd.MatMul(x, l.W.Value), l.B.Value)
+func (l *Dense) Forward(ctx *Ctx, x *autograd.Value) *autograd.Value {
+	return autograd.AddRowBias(autograd.MatMul(x, l.W.Value, ctx.Scratch), l.B.Value)
 }
 
 // Params returns weight and bias.

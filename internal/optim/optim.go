@@ -155,6 +155,9 @@ type LARS struct {
 	// 0.01 restores SGD-magnitude steps for them.
 	UnadaptedLRScale float64
 	slots            state
+	// sc carries the trust-ratio norms' kernel-worker budget (nil = every
+	// worker); ByName sets the engine's.
+	sc *tensor.Scratch
 }
 
 // NewLARS returns LARS with trust coefficient 0.001, momentum 0.9 and
@@ -194,7 +197,7 @@ func (o *LARS) Step(params []*nn.Param, lr float64) {
 			scale = lr * o.UnadaptedLRScale
 			wd = 0
 		} else {
-			scale = lr * o.TrustRatio(w.Norm(), g.Norm())
+			scale = lr * o.TrustRatio(tensor.NormScratch(w, o.sc), tensor.NormScratch(g, o.sc))
 		}
 		sf := float32(scale)
 		for i := range w.Data() {
@@ -265,6 +268,9 @@ type LAMB struct {
 	WeightDecay  float64
 	step         int
 	slots        state
+	// sc carries the trust-ratio norm's kernel-worker budget (nil = every
+	// worker); ByName sets the engine's.
+	sc *tensor.Scratch
 }
 
 // NewLAMB returns LAMB with standard constants.
@@ -307,7 +313,7 @@ func (o *LAMB) Step(params []*nn.Param, lr float64) {
 		updNorm = math.Sqrt(updNorm)
 		ratio := 1.0
 		if !p.NoAdapt {
-			wNorm := w.Norm()
+			wNorm := tensor.NormScratch(w, o.sc)
 			if wNorm > 0 && updNorm > 0 {
 				ratio = wNorm / updNorm
 			}
@@ -415,19 +421,25 @@ func (o *SM3) Step(params []*nn.Param, lr float64) {
 }
 
 // ByName constructs an optimizer from its lower-case name. Supported:
-// sgd, rmsprop, lars, adam, lamb, sm3.
-func ByName(name string, weightDecay float64) (Optimizer, bool) {
+// sgd, rmsprop, lars, adam, lamb, sm3. The trust-ratio optimizers (lars,
+// lamb) reduce their norms within sc's kernel-worker budget (nil = every
+// worker).
+func ByName(name string, weightDecay float64, sc *tensor.Scratch) (Optimizer, bool) {
 	switch name {
 	case "sgd":
 		return NewSGD(0.9, weightDecay), true
 	case "rmsprop":
 		return NewRMSProp(weightDecay), true
 	case "lars":
-		return NewLARS(weightDecay), true
+		o := NewLARS(weightDecay)
+		o.sc = sc
+		return o, true
 	case "adam":
 		return NewAdam(weightDecay), true
 	case "lamb":
-		return NewLAMB(weightDecay), true
+		o := NewLAMB(weightDecay)
+		o.sc = sc
+		return o, true
 	case "sm3":
 		return NewSM3(weightDecay), true
 	}

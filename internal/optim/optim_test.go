@@ -73,7 +73,7 @@ func TestLARSConvergesOnQuadratic(t *testing.T) {
 
 func TestNilGradSkipped(t *testing.T) {
 	for _, name := range []string{"sgd", "rmsprop", "lars", "adam", "lamb", "sm3"} {
-		opt, ok := ByName(name, 0)
+		opt, ok := ByName(name, 0, nil)
 		if !ok {
 			t.Fatalf("ByName(%q) failed", name)
 		}
@@ -87,7 +87,7 @@ func TestNilGradSkipped(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, ok := ByName("adagrad", 0); ok {
+	if _, ok := ByName("adagrad", 0, nil); ok {
 		t.Fatal("unknown optimizer must return !ok")
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers bounds concurrency for all helpers in this package. It defaults
-// to GOMAXPROCS and may be lowered in tests via SetMaxWorkers.
+// maxWorkers is the process-wide worker bound. It defaults to GOMAXPROCS;
+// tests may lower it via SetMaxWorkers. Every helper below takes its
+// caller's own bound (at most this one): kernels pass the budget of the
+// engine that runs them (tensor.Scratch.Workers), everything else passes
+// MaxWorkers().
 var maxWorkers atomic.Int64
 
 func init() {
@@ -32,21 +35,22 @@ func MaxWorkers() int { return int(maxWorkers.Load()) }
 // cost of spawning a goroutine. Loops smaller than this run serially.
 const minGrain = 256
 
-// For runs body(i) for every i in [0, n), potentially in parallel. Iterations
-// must be independent. Loops of at most minGrain iterations run inline on the
-// calling goroutine — For is meant for cheap per-index bodies; loops with
-// expensive iterations should use ForChunked with a small grain instead.
-func For(n int, body func(i int)) {
+// For runs body(i) for every i in [0, n) on at most workers goroutines.
+// Iterations must be independent. Loops of at most minGrain iterations run
+// inline on the calling goroutine — For is meant for cheap per-index
+// bodies; loops with expensive iterations should use ForChunked with a
+// small grain instead.
+func For(workers, n int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if n <= minGrain || MaxWorkers() <= 1 {
+	if n <= minGrain || workers <= 1 {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	ForChunked(n, 1, func(lo, hi int) {
+	ForChunked(workers, n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
@@ -54,20 +58,19 @@ func For(n int, body func(i int)) {
 }
 
 // ForChunked divides [0, n) into contiguous chunks and invokes body(lo, hi)
-// for each chunk, potentially in parallel. grain is the minimum chunk size
-// (values < 1 are treated as 1): the caller's statement of how many
+// for each chunk, on at most workers goroutines. grain is the minimum chunk
+// size (values < 1 are treated as 1): the caller's statement of how many
 // iterations are worth one goroutine. When n <= grain the whole range is a
 // single chunk and runs inline on the calling goroutine — a larger grain
 // makes the serial path more likely, never less. Chunks never overlap and
 // cover [0, n) exactly.
-func ForChunked(n, grain int, body func(lo, hi int)) {
+func ForChunked(workers, n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	workers := MaxWorkers()
 	if workers > n {
 		workers = n
 	}
@@ -116,46 +119,35 @@ func Do(fns ...func()) {
 	wg.Wait()
 }
 
-// ReduceFloat64 computes the sum of body(i) over i in [0, n) with
-// deterministic per-chunk partial sums combined in index order, so results
-// are reproducible for a fixed worker bound.
-func ReduceFloat64(n int, body func(i int) float64) float64 {
+// reduceChunk is the span of one ReduceFloat64 partial sum. It is fixed by
+// problem size, not by worker count, so the result of a reduction is a
+// function of its input alone.
+const reduceChunk = 2048
+
+// ReduceFloat64 returns the sum over [0, n) that body computes span by
+// span: body(lo, hi) sums the consecutive reduceChunk-element spans, and
+// the partials combine left to right. The spans depend only on n, so the
+// result is bit-identical at every worker count; workers only schedules
+// the spans (on at most that many goroutines).
+func ReduceFloat64(workers, n int, body func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= minGrain {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += body(i)
+	chunks := (n + reduceChunk - 1) / reduceChunk
+	span := func(c int) float64 { return body(c*reduceChunk, min((c+1)*reduceChunk, n)) }
+	var s float64
+	if workers <= 1 || chunks == 1 {
+		for c := 0; c < chunks; c++ {
+			s += span(c)
 		}
 		return s
 	}
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	partial := make([]float64, chunks)
+	ForChunked(workers, chunks, 1, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			partial[c] = span(c)
 		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += body(i)
-			}
-			partial[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	var s float64
+	})
 	for _, p := range partial {
 		s += p
 	}

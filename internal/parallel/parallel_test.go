@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func TestForChunkedSingleChunkRunsInline(t *testing.T) {
 	caller := gid()
 	for _, c := range []struct{ n, grain int }{{2, 4096}, {300, 300}, {1, 1}, {256, 1024}} {
 		calls := 0
-		ForChunked(c.n, c.grain, func(lo, hi int) {
+		ForChunked(MaxWorkers(), c.n, c.grain, func(lo, hi int) {
 			calls++
 			if lo != 0 || hi != c.n {
 				t.Errorf("n=%d grain=%d: chunk [%d,%d), want [0,%d)", c.n, c.grain, lo, hi, c.n)
@@ -49,7 +50,7 @@ func TestForChunkedRespectsGrain(t *testing.T) {
 	var minSeen atomic.Int64
 	minSeen.Store(n)
 	var last atomic.Int64
-	ForChunked(n, grain, func(lo, hi int) {
+	ForChunked(MaxWorkers(), n, grain, func(lo, hi int) {
 		if hi == n {
 			last.Store(int64(hi - lo))
 			return
@@ -68,7 +69,7 @@ func TestForChunkedRespectsGrain(t *testing.T) {
 
 func TestForSmallLoopRunsInline(t *testing.T) {
 	caller := gid()
-	For(100, func(i int) {
+	For(MaxWorkers(), 100, func(i int) {
 		if g := gid(); g != caller {
 			t.Fatalf("For(100) iteration ran on goroutine %s, want inline", g)
 		}
@@ -78,7 +79,7 @@ func TestForSmallLoopRunsInline(t *testing.T) {
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 255, 256, 1000, 4096} {
 		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		For(MaxWorkers(), n, func(i int) { atomic.AddInt32(&seen[i], 1) })
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d index %d visited %d times", n, i, c)
@@ -91,7 +92,7 @@ func TestForChunkedExactPartition(t *testing.T) {
 	f := func(n uint16, grain uint8) bool {
 		nn := int(n) % 5000
 		var total int64
-		ForChunked(nn, int(grain), func(lo, hi int) {
+		ForChunked(MaxWorkers(), nn, int(grain), func(lo, hi int) {
 			if lo < 0 || hi > nn || lo > hi {
 				t.Fatalf("bad chunk [%d,%d) for n=%d", lo, hi, nn)
 			}
@@ -104,9 +105,20 @@ func TestForChunkedExactPartition(t *testing.T) {
 	}
 }
 
+// sumSpan is a ReduceFloat64 body summing f over a span left to right.
+func sumSpan(f func(i int) float64) func(lo, hi int) float64 {
+	return func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += f(i)
+		}
+		return s
+	}
+}
+
 func TestReduceFloat64MatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 257, 10000} {
-		got := ReduceFloat64(n, func(i int) float64 { return float64(i) })
+		got := ReduceFloat64(MaxWorkers(), n, sumSpan(func(i int) float64 { return float64(i) }))
 		want := float64(n) * float64(n-1) / 2
 		if n == 0 {
 			want = 0
@@ -120,11 +132,26 @@ func TestReduceFloat64MatchesSerial(t *testing.T) {
 func TestReduceDeterministic(t *testing.T) {
 	// Floating-point reduction must be reproducible run-to-run because
 	// partials are combined in chunk-index order.
-	body := func(i int) float64 { return 1.0 / float64(i+1) }
-	a := ReduceFloat64(100000, body)
+	body := sumSpan(func(i int) float64 { return 1.0 / float64(i+1) })
+	a := ReduceFloat64(MaxWorkers(), 100000, body)
 	for k := 0; k < 5; k++ {
-		if b := ReduceFloat64(100000, body); b != a {
+		if b := ReduceFloat64(MaxWorkers(), 100000, body); b != a {
 			t.Fatalf("nondeterministic reduction: %v vs %v", a, b)
+		}
+	}
+}
+
+func TestReduceFloat64IndependentOfWorkers(t *testing.T) {
+	// The spans are fixed by n, so every worker count sums the same
+	// partials in the same order: bit-identical results. Terms of mixed
+	// magnitude make any regrouping change the rounding.
+	body := sumSpan(func(i int) float64 { return float64(i%97) * math.Pow(10, float64(i%13-6)) })
+	for _, n := range []int{1, 2047, 2048, 2049, 4096, 100003} {
+		want := ReduceFloat64(1, n, body)
+		for _, w := range []int{2, 3, 8, 64} {
+			if got := ReduceFloat64(w, n, body); got != want {
+				t.Errorf("n=%d: %d workers sum to %v, 1 worker to %v", n, w, got, want)
+			}
 		}
 	}
 }
@@ -136,7 +163,7 @@ func TestSetMaxWorkers(t *testing.T) {
 		t.Fatal("SetMaxWorkers(1) not applied")
 	}
 	var ran int
-	For(1000, func(i int) { ran++ }) // safe: single worker means serial
+	For(MaxWorkers(), 1000, func(i int) { ran++ }) // safe: single worker means serial
 	if ran != 1000 {
 		t.Fatalf("serial run visited %d of 1000", ran)
 	}

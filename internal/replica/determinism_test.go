@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"runtime"
 	"testing"
 
+	"effnetscale/internal/parallel"
 	"effnetscale/internal/schedule"
 )
 
@@ -35,6 +37,41 @@ func TestEngineFullyDeterministic(t *testing.T) {
 		for j := range ap[i].Data().Data() {
 			if ap[i].Data().Data()[j] != bp[i].Data().Data()[j] {
 				t.Fatalf("weights diverged at %s[%d]", ap[i].Name, j)
+			}
+		}
+	}
+}
+
+func TestTrajectoryIndependentOfCores(t *testing.T) {
+	// The kernel-worker budget is max(1, GOMAXPROCS ÷ World): one core
+	// gives each replica's kernels one worker, four cores give them two.
+	// The budget schedules the kernels' work but must not change a bit of
+	// the trajectory, or a run's result would depend on its machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(4))
+	run := func(procs int) *Engine {
+		runtime.GOMAXPROCS(procs)
+		cfg := miniEngineConfig(2, 4, 2)
+		cfg.OptimizerName = "lars"
+		cfg.Schedule = schedule.Warmup{Epochs: 1, Inner: schedule.Constant(5)}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(1, procs/2); e.scratch.Workers() != want {
+			t.Fatalf("GOMAXPROCS %d, world 2: kernel-worker budget %d, want %d", procs, e.scratch.Workers(), want)
+		}
+		for i := 0; i < 3; i++ {
+			mustStep(t, e)
+		}
+		return e
+	}
+	a, b := run(1), run(4)
+	ap, bp := a.Replica(0).Model.Params(), b.Replica(0).Model.Params()
+	for i := range ap {
+		for j, v := range ap[i].Data().Data() {
+			if v != bp[i].Data().Data()[j] {
+				t.Fatalf("weights differ between 1 and 4 cores at %s[%d]", ap[i].Name, j)
 			}
 		}
 	}

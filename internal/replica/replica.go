@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -180,7 +181,8 @@ type Engine struct {
 	// scratch is the engine-owned kernel arena: im2col buffers and GEMM
 	// packing panels are drawn from it instead of being allocated per conv
 	// call. One arena per engine keeps concurrent engines' working sets
-	// separate; dropping the engine releases it.
+	// separate; dropping the engine releases it. It also carries the
+	// engine's kernel-worker budget, max(1, GOMAXPROCS ÷ World).
 	scratch *tensor.Scratch
 }
 
@@ -392,7 +394,10 @@ func New(cfg Config) (*Engine, error) {
 		prov = comm.InstrumentProvider(prov, cfg.Telemetry)
 	}
 
-	e := &Engine{cfg: cfg, scratch: tensor.NewScratch()}
+	// Kernel-worker budget: the World replica goroutines already occupy
+	// the cores, so each replica's kernels fan out only over its share of
+	// them. Results do not depend on the budget, only the schedule does.
+	e := &Engine{cfg: cfg, scratch: tensor.NewScratchWorkers(max(1, runtime.GOMAXPROCS(0)/cfg.World))}
 	if cfg.Telemetry != nil {
 		e.samples = make([]telemetry.StepSample, cfg.World)
 	}
@@ -450,7 +455,7 @@ func New(cfg Config) (*Engine, error) {
 		d, mIdx := cfg.Mesh.Coords(r)
 		m := efficientnet.New(rand.New(rand.NewSource(cfg.Seed)), modelCfg)
 		m.CopyWeightsFrom(ref)
-		opt, ok := optim.ByName(cfg.OptimizerName, cfg.WeightDecay)
+		opt, ok := optim.ByName(cfg.OptimizerName, cfg.WeightDecay, e.scratch)
 		if !ok {
 			e.Close() // stop pipelines of already-built replicas
 			return nil, fmt.Errorf("replica: unknown optimizer %q", cfg.OptimizerName)

@@ -18,7 +18,6 @@ package replica
 
 import (
 	"effnetscale/internal/autograd"
-	"effnetscale/internal/bf16"
 	"effnetscale/internal/comm"
 	"effnetscale/internal/efficientnet"
 	"effnetscale/internal/nn"
@@ -97,17 +96,6 @@ func buildShardPlan(m *efficientnet.Model, mIdx, M int, coll comm.Collective) *s
 	return sp
 }
 
-// roundBF16 mirrors the mixed-precision rounding autograd.Conv2D applies, so
-// the sharded conv feeds its kernel the same operand precision.
-func roundBF16(t *tensor.Tensor, enabled bool) *tensor.Tensor {
-	if !enabled {
-		return t
-	}
-	r := tensor.New(t.Shape()...)
-	bf16.RoundSlice(r.Data(), t.Data())
-	return r
-}
-
 // conv1x1 is the plan's Conv1x1Fn: sharded convs compute only the owned
 // output-channel rows and all-gather the activation across the model axis;
 // everything else runs the plain layer.
@@ -121,11 +109,11 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 	cin := w.Data().Dim(1)
 	csh := sc.hi - sc.lo
 	policy := ctx.Precision
-	xc := roundBF16(x.T, policy.ConvBF16)
+	xc := autograd.RoundBF16(x.T, policy.ConvBF16, ctx.Scratch)
 	// The owned weight rows are a contiguous span of the [cout,cin,1,1]
 	// layout; FromSlice views them without copying.
 	wRows := tensor.FromSlice(w.Data().Data()[sc.lo*cin:sc.hi*cin], csh, cin, 1, 1)
-	wc := roundBF16(wRows, policy.ConvBF16)
+	wc := autograd.RoundBF16(wRows, policy.ConvBF16, ctx.Scratch)
 	local := tensor.Conv2DScratch(xc, wc, l.Spec, ctx.Scratch) // [N, csh, OH, OW]
 	n, _, oh, ow := local.Dim4()
 	chunk := csh * oh * ow
@@ -153,7 +141,7 @@ func (sp *shardPlan) conv1x1(ctx *nn.Ctx, l *nn.Conv2D, x *autograd.Value) *auto
 		for i := 0; i < n; i++ {
 			copy(gsh.Data()[i*chunk:(i+1)*chunk], g.Data()[(i*cout+sc.lo)*oh*ow:][:chunk])
 		}
-		gc := roundBF16(gsh, policy.ConvBF16)
+		gc := autograd.RoundBF16(gsh, policy.ConvBF16, ctx.Scratch)
 		dx, dwSh := tensor.Conv2DBackwardScratch(xc, wc, gc, l.Spec, ctx.Scratch)
 		// dx is partial — each rank saw only its output channels — so the
 		// model axis sums the contributions (the gradient counterpart of the

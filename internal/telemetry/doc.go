@@ -26,10 +26,10 @@
 // ring/tree/torus2d collectives, fits the model's two constants to the
 // measured ring points, and reports measured-vs-modeled error per
 // algorithm, world size and payload (`podbench -validate`). On the
-// goroutine-channel transport the errors grow with world size — the "links"
-// share host memory bandwidth where the model assumes dedicated links —
-// which is exactly the kind of structural divergence the validation exists
-// to surface.
+// in-process shared-memory transport the errors grow with world size —
+// every rank folds and copies through one host's memory bandwidth where the
+// model assumes dedicated links — which is exactly the kind of structural
+// divergence the validation exists to surface.
 //
 // Seams: Sink (Step/Eval/Epoch/Snapshot/Close; SinkFuncs adapts functions),
 // comm.Observer (Recorder implements it), train.WithTelemetry /

@@ -148,7 +148,7 @@ func BenchmarkConv(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			DepthwiseConv2DInto(dst, x, w, spec)
+			DepthwiseConv2DInto(dst, x, w, spec, nil)
 		}
 	})
 }

@@ -135,23 +135,23 @@ func Conv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 	}
 	arena := sc.orDefault()
 
-	// Parallelize across samples when the batch can feed every worker;
-	// otherwise run samples serially and let the GEMM spread row blocks.
-	// The closure exists only on the parallel branch so the serial path
-	// (named function, explicit args) stays allocation-free.
-	if workers := parallel.MaxWorkers(); workers > 1 && n >= workers {
-		parallel.ForChunked(n, 1, func(lo, hi int) {
-			conv2DForwardRange(dst, x, w, spec, arena, false, lo, hi)
+	// Parallelize across samples when the batch can feed every worker of
+	// sc's budget; otherwise run samples serially and let the GEMM spread
+	// row blocks. The closure exists only on the parallel branch so the
+	// serial path (named function, explicit args) stays allocation-free.
+	if workers := sc.Workers(); workers > 1 && n >= workers {
+		parallel.ForChunked(workers, n, 1, func(lo, hi int) {
+			conv2DForwardRange(dst, x, w, spec, arena, 1, lo, hi)
 		})
 	} else {
-		conv2DForwardRange(dst, x, w, spec, arena, true, 0, n)
+		conv2DForwardRange(dst, x, w, spec, arena, workers, 0, n)
 	}
 }
 
-// conv2DForwardRange convolves samples [lo, hi) into dst. gemmPar spreads
-// each sample's GEMM over row-block workers; callers already fanned out
-// across samples pass false to avoid nested parallelism.
-func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
+// conv2DForwardRange convolves samples [lo, hi) into dst. gemmWorkers
+// spreads each sample's GEMM over row-block workers; callers already fanned
+// out across samples pass 1 to avoid nested parallelism.
+func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmWorkers int, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dst.Dim4()
@@ -165,7 +165,7 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 		// 1×1 convs of the hybrid engine hit (efficientnet.Conv1x1Fn).
 		for s := lo; s < hi; s++ {
 			gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, cin, false,
-				x.data[s*chw:(s+1)*chw], ohw, false, cout, ohw, cin, false, arena, gemmPar)
+				x.data[s*chw:(s+1)*chw], ohw, false, cout, ohw, cin, false, arena, gemmWorkers)
 		}
 		return
 	}
@@ -176,7 +176,7 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 		for s := lo; s < hi; s++ {
 			gather1x1(*gp, x.data[s*chw:(s+1)*chw], cin, h, wd, oh, ow, spec)
 			gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, cin, false,
-				*gp, ohw, false, cout, ohw, cin, false, arena, gemmPar)
+				*gp, ohw, false, cout, ohw, cin, false, arena, gemmWorkers)
 		}
 		arena.put(gp)
 		return
@@ -186,7 +186,7 @@ func conv2DForwardRange(dst, x, w *Tensor, spec ConvSpec, arena *Scratch, gemmPa
 		im2col(*cp, x.data[s*chw:(s+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
 		// out_s [Cout,OHW] = W [Cout,CKK] @ col [CKK,OHW]
 		gemm(dst.data[s*cout*ohw:(s+1)*cout*ohw], w.data, ckk, false,
-			*cp, ohw, false, cout, ohw, ckk, false, arena, gemmPar)
+			*cp, ohw, false, cout, ohw, ckk, false, arena, gemmWorkers)
 	}
 	arena.put(cp)
 }
@@ -237,10 +237,18 @@ func Conv2DBackwardScratch(x, w, dy *Tensor, spec ConvSpec, sc *Scratch) (dx, dw
 	return dx, dw
 }
 
+// convBwdPartials is how many weight-gradient partials Conv2DBackwardInto
+// cuts a batch into (one per sample for smaller batches). It is fixed by
+// problem size, not by worker count: the partials always merge in the same
+// order, so dW is bit-identical however many workers compute them.
+const convBwdPartials = 8
+
 // Conv2DBackwardInto computes input and weight gradients into dx and dw
-// (overwriting both; shapes must match x and w). Steady-state it allocates
-// nothing. Worker-partial weight gradients merge in deterministic chunk
-// order, so results do not depend on goroutine scheduling.
+// (overwriting both; shapes must match x and w), on up to sc.Workers()
+// goroutines. Steady-state it allocates nothing. Each chunk of samples
+// accumulates its own weight-gradient partial and the partials merge in
+// chunk order, so results depend neither on goroutine scheduling nor on
+// the worker count.
 func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	n := x.Dim(0)
 	if !SameShape(dx, x) || !SameShape(dw, w) {
@@ -249,33 +257,22 @@ func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	arena := sc.orDefault()
 	dx.Zero()
 	dw.Zero()
-
-	workers := parallel.MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		conv2DBackwardRange(dx, dw.data, x, w, dy, spec, arena, false, 0, n)
+	if n <= 1 {
+		conv2DBackwardRange(dx, dw.data, x, w, dy, spec, arena, 1, 0, n)
 		return
 	}
-	// Deterministic parallel reduction: chunk c accumulates into its own
-	// region of one pooled buffer, and the partials merge in chunk order —
-	// the sum never depends on which worker finished first.
-	chunk := (n + workers - 1) / workers
+	chunk := (n + convBwdPartials - 1) / convBwdPartials
 	nChunks := (n + chunk - 1) / chunk
 	wlen := len(w.data)
 	pp := arena.getZeroed(nChunks * wlen)
 	partials := *pp
-	parallel.ForChunked(nChunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			conv2DBackwardRange(dx, partials[c*wlen:(c+1)*wlen], x, w, dy, spec, arena, false, lo, hi)
-		}
-	})
+	if workers := sc.Workers(); workers > 1 {
+		parallel.ForChunked(workers, nChunks, 1, func(clo, chi int) {
+			conv2DBackwardChunks(dx, partials, x, w, dy, spec, arena, chunk, clo, chi)
+		})
+	} else {
+		conv2DBackwardChunks(dx, partials, x, w, dy, spec, arena, chunk, 0, nChunks)
+	}
 	for c := 0; c < nChunks; c++ {
 		part := partials[c*wlen : (c+1)*wlen]
 		for i, v := range part {
@@ -285,10 +282,20 @@ func Conv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	arena.put(pp)
 }
 
+// conv2DBackwardChunks runs sample chunks [clo, chi), each chunk-samples
+// long, accumulating chunk c's weight gradient into partials' c-th
+// weight-sized region.
+func conv2DBackwardChunks(dx *Tensor, partials []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, chunk, clo, chi int) {
+	n, wlen := x.Dim(0), len(w.data)
+	for c := clo; c < chi; c++ {
+		conv2DBackwardRange(dx, partials[c*wlen:(c+1)*wlen], x, w, dy, spec, arena, 1, c*chunk, min((c+1)*chunk, n))
+	}
+}
+
 // conv2DBackwardRange accumulates the weight gradient of samples [lo, hi)
 // into dwAcc and writes their (exclusively owned) input-gradient slices of
 // dx. A named function so the single-worker path allocates nothing.
-func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, gemmPar bool, lo, hi int) {
+func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec ConvSpec, arena *Scratch, gemmWorkers int, lo, hi int) {
 	_, cin, h, wd := x.Dim4()
 	cout, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dy.Dim4()
@@ -302,10 +309,10 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 			dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
 			// dW [Cout,Cin] += dy_s [Cout,HW] @ x_sᵀ
 			gemm(dwAcc, dys, ohw, false, x.data[s*chw:(s+1)*chw], ohw, true,
-				cout, cin, ohw, true, arena, gemmPar)
+				cout, cin, ohw, true, arena, gemmWorkers)
 			// dx_s [Cin,HW] = Wᵀ [Cin,Cout] @ dy_s
 			gemm(dx.data[s*chw:(s+1)*chw], w.data, cin, true, dys, ohw, false,
-				cin, ohw, cout, false, arena, gemmPar)
+				cin, ohw, cout, false, arena, gemmWorkers)
 		}
 		return
 	}
@@ -315,8 +322,8 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 		for s := lo; s < hi; s++ {
 			dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
 			gather1x1(*gp, x.data[s*chw:(s+1)*chw], cin, h, wd, oh, ow, spec)
-			gemm(dwAcc, dys, ohw, false, *gp, ohw, true, cout, cin, ohw, true, arena, gemmPar)
-			gemm(*dgp, w.data, cin, true, dys, ohw, false, cin, ohw, cout, false, arena, gemmPar)
+			gemm(dwAcc, dys, ohw, false, *gp, ohw, true, cout, cin, ohw, true, arena, gemmWorkers)
+			gemm(*dgp, w.data, cin, true, dys, ohw, false, cin, ohw, cout, false, arena, gemmWorkers)
 			scatter1x1Add(dx.data[s*chw:(s+1)*chw], *dgp, cin, h, wd, oh, ow, spec)
 		}
 		arena.put(dgp)
@@ -329,9 +336,9 @@ func conv2DBackwardRange(dx *Tensor, dwAcc []float32, x, w, dy *Tensor, spec Con
 		dys := dy.data[s*cout*ohw : (s+1)*cout*ohw]
 		im2col(*cp, x.data[s*chw:(s+1)*chw], cin, h, wd, kh, kw, oh, ow, spec)
 		// dW [Cout,CKK] += dy_s [Cout,OHW] @ colᵀ
-		gemm(dwAcc, dys, ohw, false, *cp, ohw, true, cout, ckk, ohw, true, arena, gemmPar)
+		gemm(dwAcc, dys, ohw, false, *cp, ohw, true, cout, ckk, ohw, true, arena, gemmWorkers)
 		// dcol [CKK,OHW] = Wᵀ [CKK,Cout] @ dy_s
-		gemm(*dcp, w.data, ckk, true, dys, ohw, false, ckk, ohw, cout, false, arena, gemmPar)
+		gemm(*dcp, w.data, ckk, true, dys, ohw, false, ckk, ohw, cout, false, arena, gemmWorkers)
 		col2im(dx.data[s*chw:(s+1)*chw], *dcp, cin, h, wd, kh, kw, oh, ow, spec)
 	}
 	arena.put(dcp)

@@ -50,14 +50,14 @@ func DepthwiseConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 	oh := outSize(h, kh, spec.StrideH, spec.PadH)
 	ow := outSize(wd, kw, spec.StrideW, spec.PadW)
 	out := New(n, c, oh, ow)
-	DepthwiseConv2DInto(out, x, w, spec)
+	DepthwiseConv2DInto(out, x, w, spec, nil)
 	return out
 }
 
 // DepthwiseConv2DInto computes the depthwise convolution into dst, which
-// must have shape spec.OutShape-for-depthwise ([N,C,OH,OW]). It allocates
-// nothing when running single-worker.
-func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
+// must have shape spec.OutShape-for-depthwise ([N,C,OH,OW]), on up to
+// sc.Workers() goroutines. It allocates nothing when running single-worker.
+func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec, sc *Scratch) {
 	n, c, h, wd := x.Dim4()
 	_, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dst.Dim4()
@@ -65,8 +65,8 @@ func DepthwiseConv2DInto(dst, x, w *Tensor, spec ConvSpec) {
 		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
 	g.oyLo, g.oyHi = interiorRange(spec.StrideH, spec.PadH, kh, h, oh)
 	g.oxLo, g.oxHi = interiorRange(spec.StrideW, spec.PadW, kw, wd, ow)
-	if parallel.MaxWorkers() > 1 {
-		parallel.For(n*c, func(nc int) {
+	if workers := sc.Workers(); workers > 1 {
+		parallel.For(workers, n*c, func(nc int) {
 			depthwiseForwardOne(dst, x, w, g, c, nc)
 		})
 		return
@@ -174,15 +174,16 @@ func depthwiseForwardOne(dst, x, w *Tensor, g dwGeom, c, nc int) {
 func DepthwiseConv2DBackward(x, w, dy *Tensor, spec ConvSpec) (dx, dw *Tensor) {
 	dx = New(x.shape...)
 	dw = New(w.shape...)
-	DepthwiseConv2DBackwardInto(dx, dw, x, w, dy, spec)
+	DepthwiseConv2DBackwardInto(dx, dw, x, w, dy, spec, nil)
 	return dx, dw
 }
 
 // DepthwiseConv2DBackwardInto computes gradients into dx and dw, overwriting
-// both. It allocates nothing when running single-worker. Channels are
-// processed independently (each channel's dw slice has a single owner), so
-// the result is deterministic under any goroutine schedule.
-func DepthwiseConv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
+// both, on up to sc.Workers() goroutines. It allocates nothing when running
+// single-worker. Channels are processed independently (each channel's dw
+// slice has a single owner), so the result is deterministic under any
+// goroutine schedule.
+func DepthwiseConv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec, sc *Scratch) {
 	n, c, h, wd := x.Dim4()
 	_, _, kh, kw := w.Dim4()
 	_, _, oh, ow := dy.Dim4()
@@ -195,8 +196,8 @@ func DepthwiseConv2DBackwardInto(dx, dw, x, w, dy *Tensor, spec ConvSpec) {
 		strideH: spec.StrideH, strideW: spec.StrideW, padH: spec.PadH, padW: spec.PadW}
 	g.oyLo, g.oyHi = interiorRange(spec.StrideH, spec.PadH, kh, h, oh)
 	g.oxLo, g.oxHi = interiorRange(spec.StrideW, spec.PadW, kw, wd, ow)
-	if parallel.MaxWorkers() > 1 {
-		parallel.For(c, func(ch int) {
+	if workers := sc.Workers(); workers > 1 {
+		parallel.For(workers, c, func(ch int) {
 			depthwiseBackwardChannel(dx, dw, x, w, dy, g, n, c, ch)
 		})
 		return

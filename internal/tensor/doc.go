@@ -29,12 +29,19 @@
 // # Scratch arenas
 //
 // Kernel temporaries — im2col column matrices, packing panels, gathered
-// 1×1 grids, per-worker weight-gradient partials — come from a Scratch
+// 1×1 grids, per-chunk weight-gradient partials — come from a Scratch
 // arena of size-classed buffer pools rather than make, so the Into
 // variants (Conv2DInto, Conv2DBackwardInto, MatMulInto, ...) allocate
 // nothing in steady state (proved by BenchmarkConv's allocs/op). Passing
 // a nil *Scratch uses a process-wide arena; the replica engine owns one
 // arena per engine and threads it through nn.Ctx.Scratch.
+//
+// The arena also carries the engine's kernel-worker budget
+// (Scratch.Workers): how many goroutines one kernel may fan out to. The
+// budget only schedules work. Reductions sum fixed-size spans and the
+// convolution weight gradient merges partials cut by batch size, so every
+// kernel's bits are the same at any worker count
+// (TestResultsIndependentOfWorkerCount).
 //
 // # Correctness and performance harness
 //

@@ -30,11 +30,11 @@ func FuzzMatMulShapes(f *testing.F) {
 
 		at := Randn(rng, 1, k, m)
 		want, mag = oracleGEMM(at.Data(), b.Data(), m, n, true, false, m, n, k)
-		assertOracle(t, "MatMulTA", MatMulTA(at, b).Data(), want, mag, k)
+		assertOracle(t, "MatMulTA", MatMulTA(at, b, nil).Data(), want, mag, k)
 
 		bt := Randn(rng, 1, n, k)
 		want, mag = oracleGEMM(a.Data(), bt.Data(), k, k, false, true, m, n, k)
-		assertOracle(t, "MatMulTB", MatMulTB(a, bt).Data(), want, mag, k)
+		assertOracle(t, "MatMulTB", MatMulTB(a, bt, nil).Data(), want, mag, k)
 	})
 }
 

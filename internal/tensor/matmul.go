@@ -38,44 +38,47 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v @ %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	gemm(out.data, a.data, k, false, b.data, n, false, m, n, k, false, nil, true)
+	gemm(out.data, a.data, k, false, b.data, n, false, m, n, k, false, nil, parallel.MaxWorkers())
 	return out
 }
 
 // MatMulInto computes dst = a @ b (or dst += a @ b when accumulate is true)
-// reusing dst's storage. dst must have shape [M,N].
-func MatMulInto(dst, a, b *Tensor, accumulate bool) {
+// reusing dst's storage, with temporaries and worker budget from sc (nil =
+// default arena, every worker). dst must have shape [M,N].
+func MatMulInto(dst, a, b *Tensor, accumulate bool, sc *Scratch) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	gemm(dst.data, a.data, k, false, b.data, n, false, m, n, k, accumulate, nil, true)
+	gemm(dst.data, a.data, k, false, b.data, n, false, m, n, k, accumulate, sc, sc.Workers())
 }
 
 // MatMulTA returns aᵀ @ b for a of shape [K,M] and b of shape [K,N];
 // the result has shape [M,N]. Used by dense-layer weight gradients.
-func MatMulTA(a, b *Tensor) *Tensor {
+// Temporaries and worker budget come from sc (nil = default).
+func MatMulTA(a, b *Tensor, sc *Scratch) *Tensor {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTA inner dimension mismatch %v vs %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	gemm(out.data, a.data, m, true, b.data, n, false, m, n, k, false, nil, true)
+	gemm(out.data, a.data, m, true, b.data, n, false, m, n, k, false, sc, sc.Workers())
 	return out
 }
 
 // MatMulTB returns a @ bᵀ for a of shape [M,K] and b of shape [N,K];
 // the result has shape [M,N]. Used by dense-layer input gradients.
-func MatMulTB(a, b *Tensor) *Tensor {
+// Temporaries and worker budget come from sc (nil = default).
+func MatMulTB(a, b *Tensor, sc *Scratch) *Tensor {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dimension mismatch %v vs %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	gemm(out.data, a.data, k, false, b.data, k, true, m, n, k, false, nil, true)
+	gemm(out.data, a.data, k, false, b.data, k, true, m, n, k, false, sc, sc.Workers())
 	return out
 }
 
@@ -83,11 +86,11 @@ func MatMulTB(a, b *Tensor) *Tensor {
 // corresponding flag is set. lda/ldb are the leading (row) strides of the
 // *stored* layouts: element A[i,p] lives at a[i*lda+p] (or a[p*lda+i] when
 // at), and B[p,j] at b[p*ldb+j] (or b[j*ldb+p] when bt). dst is row-major
-// [m,n] with stride n. Temporaries come from sc (nil = default arena). When
-// par is set the row blocks of each k-slab run on parallel workers; callers
-// already inside a parallel region (per-sample convolution loops) pass
-// par=false to avoid nested fan-out.
-func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt bool, m, n, k int, accumulate bool, sc *Scratch, par bool) {
+// [m,n] with stride n. Temporaries come from sc (nil = default arena). The
+// row blocks of each k-slab run on up to workers goroutines; callers
+// already inside a parallel region (per-sample convolution loops) pass 1 to
+// avoid nested fan-out.
+func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt bool, m, n, k int, accumulate bool, sc *Scratch, workers int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -108,10 +111,10 @@ func gemm(dst []float32, a []float32, lda int, at bool, b []float32, ldb int, bt
 		}
 		packB(bp, b, ldb, bt, n, p0, kl)
 		nBlocks := (m + gemmMC - 1) / gemmMC
-		if par && nBlocks > 1 {
+		if workers > 1 && nBlocks > 1 {
 			// The closure is evaluated only on this branch, so the serial
 			// path below stays allocation-free.
-			parallel.ForChunked(nBlocks, 1, func(blo, bhi int) {
+			parallel.ForChunked(workers, nBlocks, 1, func(blo, bhi int) {
 				gemmRowBlocks(dst, a, lda, at, bp, arena, m, n, p0, kl, blo, bhi)
 			})
 		} else {

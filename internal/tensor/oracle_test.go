@@ -190,16 +190,16 @@ func TestMatMulOracleSweep(t *testing.T) {
 
 			at := Randn(rng, 1, tc.k, tc.m) // stored [K,M]
 			wantTA, magTA := oracleGEMM(at.Data(), b.Data(), tc.m, tc.n, true, false, tc.m, tc.n, tc.k)
-			assertOracle(t, "MatMulTA", MatMulTA(at, b).Data(), wantTA, magTA, tc.k)
+			assertOracle(t, "MatMulTA", MatMulTA(at, b, nil).Data(), wantTA, magTA, tc.k)
 
 			bt := Randn(rng, 1, tc.n, tc.k) // stored [N,K]
 			wantTB, magTB := oracleGEMM(a.Data(), bt.Data(), tc.k, tc.k, false, true, tc.m, tc.n, tc.k)
-			assertOracle(t, "MatMulTB", MatMulTB(a, bt).Data(), wantTB, magTB, tc.k)
+			assertOracle(t, "MatMulTB", MatMulTB(a, bt, nil).Data(), wantTB, magTB, tc.k)
 
 			// Accumulating MatMulInto: run twice, oracle doubles.
 			dst := New(tc.m, tc.n)
-			MatMulInto(dst, a, b, false)
-			MatMulInto(dst, a, b, true)
+			MatMulInto(dst, a, b, false, nil)
+			MatMulInto(dst, a, b, true, nil)
 			want2 := make([]float64, len(want))
 			mag2 := make([]float64, len(mag))
 			for i := range want {
@@ -358,7 +358,7 @@ func TestZeroTimesNaNPropagates(t *testing.T) {
 		// MatMulTA with zero A against NaN B.
 		at := FromSlice([]float32{0, 0}, 2, 1)
 		bn := FromSlice([]float32{nan32, 0}, 2, 1)
-		if v := MatMulTA(at, bn).At(0, 0); !math.IsNaN(float64(v)) {
+		if v := MatMulTA(at, bn, nil).At(0, 0); !math.IsNaN(float64(v)) {
 			t.Errorf("MatMulTA 0·NaN = %v, want NaN", v)
 		}
 

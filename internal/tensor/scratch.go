@@ -3,6 +3,8 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+
+	"effnetscale/internal/parallel"
 )
 
 // Scratch is a reusable arena of float32 buffers for kernel temporaries:
@@ -22,15 +24,39 @@ import (
 // owns one Scratch per engine and threads it through nn.Ctx so concurrent
 // engines (train + serve in one process) keep separate working sets;
 // dropping the engine releases the arena to the garbage collector.
+//
+// A Scratch also carries its engine's kernel-worker budget: the number of
+// goroutines one kernel drawing from it may occupy (see Workers). A replica
+// engine whose replicas already fill the cores gives each kernel fewer
+// workers, so the replicas do not oversubscribe the machine.
 type Scratch struct {
 	classes [33]sync.Pool // classes[b] holds buffers with cap >= 1<<b
+	// workers is the kernel-worker budget; < 1 means parallel.MaxWorkers.
+	workers int
 }
 
-// NewScratch returns an empty arena. Buffers are created on demand and
-// sized to their class, so the arena's footprint is the high-water mark
-// of the kernels that borrow from it (rounded up to powers of two).
+// NewScratch returns an empty arena whose kernels may use every worker.
+// Buffers are created on demand and sized to their class, so the arena's
+// footprint is the high-water mark of the kernels that borrow from it
+// (rounded up to powers of two).
 func NewScratch() *Scratch {
 	return &Scratch{}
+}
+
+// NewScratchWorkers returns an empty arena whose kernels fan out to at most
+// workers goroutines each.
+func NewScratchWorkers(workers int) *Scratch {
+	return &Scratch{workers: workers}
+}
+
+// Workers is the number of goroutines a kernel drawing from s may occupy:
+// s's budget capped by parallel.MaxWorkers, or MaxWorkers itself for a nil
+// Scratch or one without a budget. Kernel results do not depend on it.
+func (s *Scratch) Workers() int {
+	if s == nil || s.workers < 1 {
+		return parallel.MaxWorkers()
+	}
+	return min(s.workers, parallel.MaxWorkers())
 }
 
 // defaultScratch serves kernels called with a nil *Scratch.

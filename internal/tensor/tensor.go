@@ -184,7 +184,7 @@ func binary(op string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
 	assertSameShape(op, a, b)
 	out := New(a.shape...)
 	ad, bd, od := a.data, b.data, out.data
-	parallel.ForChunked(len(ad), 1024, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(ad), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = f(ad[i], bd[i])
 		}
@@ -216,7 +216,7 @@ func Div(a, b *Tensor) *Tensor {
 func AddInto(dst, src *Tensor) {
 	assertSameShape("AddInto", dst, src)
 	dd, sd := dst.data, src.data
-	parallel.ForChunked(len(dd), 1024, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(dd), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dd[i] += sd[i]
 		}
@@ -227,7 +227,7 @@ func AddInto(dst, src *Tensor) {
 func Scale(a *Tensor, s float32) *Tensor {
 	out := New(a.shape...)
 	ad, od := a.data, out.data
-	parallel.ForChunked(len(ad), 2048, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(ad), 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = ad[i] * s
 		}
@@ -238,7 +238,7 @@ func Scale(a *Tensor, s float32) *Tensor {
 // ScaleInPlace multiplies every element of t by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	d := t.data
-	parallel.ForChunked(len(d), 2048, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(d), 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d[i] *= s
 		}
@@ -249,7 +249,7 @@ func (t *Tensor) ScaleInPlace(s float32) {
 func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 	assertSameShape("AxpyInto", dst, src)
 	dd, sd := dst.data, src.data
-	parallel.ForChunked(len(dd), 2048, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(dd), 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dd[i] += alpha * sd[i]
 		}
@@ -260,7 +260,7 @@ func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	out := New(a.shape...)
 	ad, od := a.data, out.data
-	parallel.ForChunked(len(ad), 1024, func(lo, hi int) {
+	parallel.ForChunked(parallel.MaxWorkers(), len(ad), 1024, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = f(ad[i])
 		}
@@ -270,22 +270,43 @@ func Apply(a *Tensor, f func(float32) float32) *Tensor {
 
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).
 func (t *Tensor) Sum() float64 {
-	return parallel.ReduceFloat64(len(t.data), func(i int) float64 { return float64(t.data[i]) })
+	d := t.data
+	return parallel.ReduceFloat64(parallel.MaxWorkers(), len(d), func(lo, hi int) float64 {
+		var s float64
+		for _, v := range d[lo:hi] {
+			s += float64(v)
+		}
+		return s
+	})
 }
 
 // Dot returns the inner product of a and b accumulated in float64.
 func Dot(a, b *Tensor) float64 {
 	assertSameShape("Dot", a, b)
-	return parallel.ReduceFloat64(len(a.data), func(i int) float64 { return float64(a.data[i]) * float64(b.data[i]) })
+	ad, bd := a.data, b.data
+	return parallel.ReduceFloat64(parallel.MaxWorkers(), len(ad), func(lo, hi int) float64 {
+		var s float64
+		for i, v := range ad[lo:hi] {
+			s += float64(v) * float64(bd[lo+i])
+		}
+		return s
+	})
 }
 
 // Norm returns the Euclidean norm of t accumulated in float64.
-func (t *Tensor) Norm() float64 {
-	s := parallel.ReduceFloat64(len(t.data), func(i int) float64 {
-		v := float64(t.data[i])
-		return v * v
-	})
-	return math.Sqrt(s)
+func (t *Tensor) Norm() float64 { return NormScratch(t, nil) }
+
+// NormScratch is Norm within sc's kernel-worker budget (nil = every
+// worker). The result does not depend on the budget.
+func NormScratch(t *Tensor, sc *Scratch) float64 {
+	d := t.data
+	return math.Sqrt(parallel.ReduceFloat64(sc.Workers(), len(d), func(lo, hi int) float64 {
+		var s float64
+		for _, v := range d[lo:hi] {
+			s += float64(v) * float64(v)
+		}
+		return s
+	}))
 }
 
 // MaxAbs returns the largest absolute element value, or 0 for empty data.
@@ -313,7 +334,7 @@ func AddChannel(x, b *Tensor) *Tensor {
 	out := New(x.shape...)
 	hw := h * w
 	xd, bd, od := x.data, b.data, out.data
-	parallel.For(n*c, func(nc int) {
+	parallel.For(parallel.MaxWorkers(), n*c, func(nc int) {
 		bias := bd[nc%c]
 		base := nc * hw
 		for i := 0; i < hw; i++ {
@@ -333,7 +354,7 @@ func MulChannelNC(x, s *Tensor) *Tensor {
 	out := New(x.shape...)
 	hw := h * w
 	xd, sd, od := x.data, s.data, out.data
-	parallel.For(n*c, func(nc int) {
+	parallel.For(parallel.MaxWorkers(), n*c, func(nc int) {
 		scale := sd[nc]
 		base := nc * hw
 		for i := 0; i < hw; i++ {
@@ -349,7 +370,7 @@ func SumChannelNC(x *Tensor) *Tensor {
 	out := New(n, c)
 	hw := h * w
 	xd, od := x.data, out.data
-	parallel.For(n*c, func(nc int) {
+	parallel.For(parallel.MaxWorkers(), n*c, func(nc int) {
 		base := nc * hw
 		var s float64
 		for i := 0; i < hw; i++ {

@@ -201,36 +201,36 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	b := Randn(rng, 1, k, n)
 	want, mag := oracleGEMM(a.Data(), b.Data(), k, n, false, false, m, n, k)
 
-	// MatMulTA(aT, b) must equal a@b.
+	// MatMulTA(aT, b, nil) must equal a@b.
 	aT := New(k, m)
 	for i := 0; i < m; i++ {
 		for p := 0; p < k; p++ {
 			aT.Set(a.At(i, p), p, i)
 		}
 	}
-	assertOracle(t, "MatMulTA", MatMulTA(aT, b).Data(), want, mag, k)
-	// MatMulTB(a, bT) must equal a@b.
+	assertOracle(t, "MatMulTA", MatMulTA(aT, b, nil).Data(), want, mag, k)
+	// MatMulTB(a, bT, nil) must equal a@b.
 	bT := New(n, k)
 	for p := 0; p < k; p++ {
 		for j := 0; j < n; j++ {
 			bT.Set(b.At(p, j), j, p)
 		}
 	}
-	assertOracle(t, "MatMulTB", MatMulTB(a, bT).Data(), want, mag, k)
+	assertOracle(t, "MatMulTB", MatMulTB(a, bT, nil).Data(), want, mag, k)
 }
 
 func TestMatMulIntoAccumulate(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2) // identity
 	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	dst := FromSlice([]float32{10, 10, 10, 10}, 2, 2)
-	MatMulInto(dst, a, b, true)
+	MatMulInto(dst, a, b, true, nil)
 	want := []float32{11, 12, 13, 14}
 	for i, v := range dst.Data() {
 		if v != want[i] {
 			t.Fatalf("accumulate MatMulInto[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	MatMulInto(dst, a, b, false)
+	MatMulInto(dst, a, b, false, nil)
 	for i, v := range dst.Data() {
 		if v != b.Data()[i] {
 			t.Fatalf("overwrite MatMulInto[%d] = %v, want %v", i, v, b.Data()[i])
